@@ -18,7 +18,7 @@ import numpy as np
 
 from . import designer, experiments, privacy
 from .engine import DivergenceError
-from .graphs import check_structural_balance, spectrum
+from .graphs import StructurallyUnbalancedError, check_structural_balance, spectrum
 from .schedules import PowerNoise, PowerStep
 
 EXIT_OK = 0
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except experiments.ConfigError as exc:
+    except (experiments.ConfigError, StructurallyUnbalancedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (experiments.ExperimentDivergence, DivergenceError) as exc:

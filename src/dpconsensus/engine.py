@@ -66,7 +66,6 @@ class Trajectory:
     gauge_mean_series: np.ndarray
     x_series: np.ndarray | None = None
     y_series: np.ndarray | None = None
-    record_stride: int = 10
 
     def to_csv(self, path) -> None:
         n = self.x_series.shape[1] if self.x_series is not None else 0
@@ -189,7 +188,6 @@ def run_many(
     collect_states: bool = False,
     collect_y: bool = False,
     tail_start: int | None = None,
-    backend=None,
 ):
     """Simulate ``runs`` independent runs; returns (record_idx, KernelResult)."""
     if t < 1:
@@ -204,8 +202,7 @@ def run_many(
         )
     if record_idx is None:
         record_idx = record_points(t, stride)
-    simulate = backend or _kernels.simulate
-    res = simulate(
+    res = _kernels.simulate(
         np.asarray(graph.weights, dtype=float),
         graph.laplacian(),
         np.asarray(gauge, dtype=float),
@@ -234,7 +231,6 @@ def run(
     run_index: int = 0,
     stride: int = 10,
     collect_y: bool = False,
-    backend=None,
 ) -> Trajectory:
     """One seeded run with recorded states; raises on divergence."""
     ks, res = run_many(
@@ -250,7 +246,6 @@ def run(
         stride=stride,
         collect_states=True,
         collect_y=collect_y,
-        backend=backend,
     )
     if res.diverged_at[0] >= 0:
         raise DivergenceError(int(res.diverged_at[0]))
@@ -260,7 +255,6 @@ def run(
         gauge_mean_series=res.gmean[0],
         x_series=res.x_rec[0],
         y_series=res.y_rec[0] if collect_y else None,
-        record_stride=stride,
     )
 
 

@@ -129,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError("horizon and runs must be >= 1")
         if len(self.x0) != self.graph.n:
             raise ConfigError("initial state length does not match graph size")
+        if not np.isfinite(np.asarray(self.x0, dtype=float)).all():
+            raise ConfigError("initial state x0 must be finite")
         if (
             isinstance(self.step, PowerStep)
             and self.noise is not None
@@ -146,7 +148,10 @@ class ExperimentConfig:
 
 def _graph_from_dict(d: dict) -> SignedGraph:
     if "fixture" in d:
-        return fixture_graph(d["fixture"])
+        try:
+            return fixture_graph(d["fixture"])
+        except FileNotFoundError as exc:
+            raise ConfigError(f"no fixture graph named {d['fixture']!r}") from exc
     edges = [(int(i), int(j), float(w)) for i, j, w in d["edges"]]
     return SignedGraph.from_edges(int(d["n"]), edges)
 

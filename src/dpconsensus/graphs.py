@@ -136,7 +136,8 @@ def check_structural_balance(g: SignedGraph) -> np.ndarray:
                 stack.append(j)
             elif s[j] != want:
                 raise StructurallyUnbalancedError(
-                    f"edge ({i + 1},{j + 1}) is inconsistent with any two-camp split"
+                    f"graph is not structurally balanced: edge ({i + 1},{j + 1}) "
+                    "is inconsistent with any two-camp split"
                 )
     return s.astype(float)
 

@@ -3,15 +3,25 @@
 Every sample is a pure function of ``(master_seed, run, agent, step)``, so
 Monte Carlo runs parallelize while staying exactly reproducible: the sample
 drawn for a given key never depends on how many other samples were drawn
-before it.  Keys are mixed through chained splitmix64 finalizers and mapped
-to Lap(0, b) by the inverse CDF.
+before it.  Keys are mixed through chained splitmix64 finalizers,
+``mix(mix(mix(seed + run) ^ agent) ^ step)``, and mapped to Lap(0, b) by the
+inverse CDF.  ``stream_keys`` computes the (run, agent) prefix once, so the
+simulation kernel pays one finalizer per draw and can draw a block of steps
+at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LaplaceStream", "laplace_sample", "laplace_matrix", "DEFAULT_SEED"]
+__all__ = [
+    "LaplaceStream",
+    "laplace_sample",
+    "laplace_matrix",
+    "laplace_from_keys",
+    "stream_keys",
+    "DEFAULT_SEED",
+]
 
 # Documented default master seed; the shipped acceptance numbers use it.
 DEFAULT_SEED = 1618033988
@@ -23,7 +33,7 @@ _U53 = 2.0**-53
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z + _GOLD) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    z = z + _GOLD  # uint64 wraps, so no mask is needed
     z ^= z >> np.uint64(30)
     z *= _M1
     z ^= z >> np.uint64(27)
@@ -32,17 +42,23 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniforms(seed: int, run, agent, step) -> np.ndarray:
-    """Uniform draws on (-1/2, 1/2), broadcast over run/agent/step arrays."""
+def stream_keys(seed: int, run, agent) -> np.ndarray:
+    """Per-(run, agent) hash prefix ``mix(mix(seed + run) ^ agent)``; broadcasts."""
     with np.errstate(over="ignore"):
         h = _mix(np.uint64(seed) + np.asarray(run, dtype=np.uint64))
-        h = _mix(h ^ np.asarray(agent, dtype=np.uint64))
-        h = _mix(h ^ np.asarray(step, dtype=np.uint64))
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _U53 - 0.5
+        return _mix(h ^ np.asarray(agent, dtype=np.uint64))
 
 
-def _laplace_from_uniform(u, b):
-    # Inverse CDF of Lap(0, b) on u in (-1/2, 1/2); branch-free.
+def laplace_from_keys(keys: np.ndarray, step, b) -> np.ndarray:
+    """Lap(0, b) draws for hoisted ``stream_keys`` at ``step``.
+
+    ``keys``, ``step`` and ``b`` broadcast together, so a block of steps
+    shaped (B, 1, 1) against (M, n) keys gives (B, M, n) draws in one call.
+    """
+    with np.errstate(over="ignore"):
+        h = _mix(keys ^ np.asarray(step, dtype=np.uint64))
+    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _U53 - 0.5  # on (-1/2, 1/2)
+    # Inverse CDF of Lap(0, b); branch-free.
     return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
@@ -52,16 +68,15 @@ def laplace_sample(seed: int, run: int, agent: int, step: int, b: float) -> floa
         raise ValueError("scale must be >= 0")
     if b == 0.0:
         return 0.0
-    u = _uniforms(seed, run, agent, step)
-    return float(_laplace_from_uniform(u, b))
+    return float(laplace_from_keys(stream_keys(seed, run, agent), step, b))
 
 
 def laplace_matrix(seed: int, runs: np.ndarray, n_agents: int, step: int, b: float) -> np.ndarray:
     """Lap(0, b) noise for all (run, agent) pairs at one step; shape (M, n)."""
     if b == 0.0:
         return np.zeros((len(runs), n_agents))
-    u = _uniforms(seed, np.asarray(runs)[:, None], np.arange(n_agents)[None, :], step)
-    return _laplace_from_uniform(u, b)
+    keys = stream_keys(seed, np.asarray(runs)[:, None], np.arange(n_agents)[None, :])
+    return laplace_from_keys(keys, step, b)
 
 
 class LaplaceStream:

@@ -271,6 +271,35 @@ class TestCli:
         rc = cli.main(["simulate", "--config", "no_such_config"])
         assert rc == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"graph": {"fixture": "no_such_graph"}}, "no fixture graph named 'no_such_graph'"),
+            ({"x0": [10.0, float("nan"), 6.0, -4.0, 2.0]}, "x0 must be finite"),
+            ({"x0": [10.0, -8.0, float("inf"), -4.0, 2.0]}, "x0 must be finite"),
+        ],
+        ids=["unknown-fixture", "nan-x0", "inf-x0"],
+    )
+    def test_simulate_bad_config_fails_fast(self, tmp_path, capsys, over, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(minimal_doc(**over)))
+        rc = cli.main(["simulate", "--config", str(p)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize("command", [["simulate"], ["rates"]])
+    def test_unbalanced_graph_is_config_error(self, tmp_path, capsys, command):
+        triangle = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, -1.0]]}
+        p = tmp_path / "frustrated.json"
+        p.write_text(json.dumps(minimal_doc(graph=triangle, x0=[1.0, 2.0, 3.0])))
+        rc = cli.main([*command, "--config", str(p)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: graph is not structurally balanced")
+        assert err.count("\n") == 1
+
     def test_simulate_divergence_exit(self, tmp_path, capsys):
         doc = minimal_doc(
             step={"kind": "power", "a1": 50.0, "a2": 1.0, "beta": 1.0},

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from dpconsensus.noise import (
     DEFAULT_SEED,
     LaplaceStream,
+    laplace_from_keys,
     laplace_matrix,
     laplace_sample,
+    stream_keys,
 )
 
 
@@ -45,6 +49,31 @@ def test_matrix_matches_scalar_samples():
     for r in range(4):
         for a in range(3):
             assert m[r, a] == laplace_sample(DEFAULT_SEED, r, a, 9, 2.0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    runs=st.lists(st.integers(0, 2**62), min_size=1, max_size=5, unique=True),
+    n=st.integers(1, 6),
+    k0=st.integers(0, 2**62),
+    length=st.integers(1, 8),
+    b=st.floats(1e-6, 1e6),
+)
+def test_block_draws_equal_per_step_draws(seed, runs, n, k0, length, b):
+    """A (B, M, n) block from hoisted keys is the per-step stream, bit for bit."""
+    runs = np.array(runs, dtype=np.int64)
+    keys = stream_keys(seed, runs[:, None], np.arange(n)[None, :])
+    scales = b * np.arange(1, length + 1)  # one scale per step, as in the kernel
+    steps = np.arange(k0, k0 + length, dtype=np.uint64)
+    block = laplace_from_keys(keys, steps[:, None, None], scales[:, None, None])
+    assert block.shape == (length, len(runs), n)
+    for j in range(length):
+        k = k0 + j
+        np.testing.assert_array_equal(block[j], laplace_matrix(seed, runs, n, k, scales[j]))
+        for r, run in enumerate(runs.tolist()):
+            for a in range(n):
+                assert block[j, r, a] == laplace_sample(seed, run, a, k, scales[j])
 
 
 def test_moments_at_unit_scale():
