@@ -29,8 +29,8 @@ class KernelResult:
     x_final: np.ndarray  # (M, n)
     diverged_at: np.ndarray  # (M,) step index, -1 if finite throughout
     max_tail_delta: np.ndarray  # (M,) max inf-norm step change for k >= tail_start
-    x_rec: np.ndarray | None = None  # (M, R, n)
-    y_rec: np.ndarray | None = None  # (M, R, n); NaN where y(k) is undefined
+    x_rec: np.ndarray | None = None  # (R, n), run_ids[0] only
+    y_rec: np.ndarray | None = None  # (R, n), run_ids[0] only; NaN where y(k) is undefined
 
 
 def simulate(
@@ -53,7 +53,8 @@ def simulate(
     ``record_idx`` must be sorted, start at 0 and end at T = len(alpha).
     A run diverges at the first step whose state has a non-finite entry or
     one above ``limit`` in magnitude; its later records are NaN and its
-    state is reset to zero.
+    state is reset to zero.  ``collect_states`` / ``collect_y`` record the
+    states of ``run_ids[0]`` alone, so memory stays O(R * n).
     """
     n = weights.shape[0]
     m = len(run_ids)
@@ -70,8 +71,8 @@ def simulate(
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     v = np.full((m, n_rec), np.nan)
     gmean = np.full((m, n_rec), np.nan)
-    x_rec = np.full((m, n_rec, n), np.nan) if collect_states else None
-    y_rec = np.full((m, n_rec, n), np.nan) if collect_y else None
+    x_rec = np.full((n_rec, n), np.nan) if collect_states else None
+    y_rec = np.full((n_rec, n), np.nan) if collect_y else None
     diverged_at = np.full(m, -1, dtype=np.int64)
     max_tail_delta = np.zeros(m)
     alive = np.ones(m, dtype=bool)
@@ -88,11 +89,12 @@ def simulate(
         dev = z - mu[:, None]
         v[:, pos] = np.where(alive, (dev**2).sum(axis=1), np.nan)
         gmean[:, pos] = np.where(alive, mu, np.nan)
+        if not alive[0]:
+            return
         if x_rec is not None:
-            x_rec[:, pos] = np.where(alive[:, None], x, np.nan)
+            x_rec[pos] = x[0]
         if y_rec is not None and with_y:
-            y = x if omega is None else x + omega
-            y_rec[:, pos] = np.where(alive[:, None], y, np.nan)
+            y_rec[pos] = x[0] if omega is None else x[0] + omega[0]
 
     block = max(1, _BLOCK_ELEMENTS // (m * n))
     for k0 in range(0, t_total, block):

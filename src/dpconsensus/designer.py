@@ -19,7 +19,7 @@ import numpy as np
 from .engine import limit_statistics
 from .graphs import GraphSpectrum
 from .privacy import check_epsilon_design
-from .schedules import DivergentSeriesError, PowerNoise, PowerStep
+from .schedules import DivergentSeriesError, PowerNoise, PowerStep, sum_alpha2_b2_bound
 
 __all__ = [
     "DesignTarget",
@@ -88,14 +88,6 @@ def _accuracy_rhs(target: DesignTarget, stats: GraphSpectrum) -> float:
     return target.s_star * target.r_star**2 * n**2 / (2.0 * stats.degree_square_sum)
 
 
-def _accuracy_lhs(sched: PowerStep, nsched: PowerNoise) -> float:
-    a1, a2, beta = sched.a1, sched.a2, sched.beta
-    bf, gamma = nsched.b_floor, nsched.gamma
-    return a1**2 * bf**2 * a2 ** (2 * gamma - 2 * beta + 1) / (
-        2 * beta - 2 * gamma - 1
-    ) + a1**2 * bf**2 * a2 ** (2 * gamma) / a2 ** (2 * beta)
-
-
 def check_accuracy_design(
     target: DesignTarget, sched: PowerStep, nsched: PowerNoise, stats: GraphSpectrum
 ) -> tuple[bool, float]:
@@ -107,7 +99,7 @@ def check_accuracy_design(
         )
     if nsched.gamma >= sched.beta - 0.5:
         raise DivergentSeriesError("gamma >= beta - 1/2: limit variance diverges")
-    margin = _accuracy_rhs(target, stats) - _accuracy_lhs(sched, nsched)
+    margin = _accuracy_rhs(target, stats) - sum_alpha2_b2_bound(sched, nsched)
     return margin >= 0.0, margin
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .graphs import SignedGraph
-from .noise import DEFAULT_SEED, LaplaceStream
+from .noise import DEFAULT_SEED
 from .schedules import (
     ConstantNoise,
     DivergentSeriesError,
@@ -32,15 +32,11 @@ __all__ = [
     "Trajectory",
     "LimitStatistics",
     "DivergenceError",
-    "step",
-    "apply_update",
     "run",
     "run_many",
     "disagreement",
     "limit_statistics",
     "record_points",
-    "alpha_array",
-    "scale_array",
     "BACKEND_NAME",
 ]
 
@@ -66,6 +62,13 @@ class Trajectory:
     gauge_mean_series: np.ndarray
     x_series: np.ndarray | None = None
     y_series: np.ndarray | None = None
+
+    @classmethod
+    def first_run(cls, ks: np.ndarray, res: _kernels.KernelResult) -> Trajectory:
+        """Run 0 of a batch simulated with ``collect_states``; raises if it diverged."""
+        if res.diverged_at[0] >= 0:
+            raise DivergenceError(int(res.diverged_at[0]))
+        return cls(ks, res.v[0], res.gmean[0], res.x_rec, res.y_rec)
 
     def to_csv(self, path) -> None:
         n = self.x_series.shape[1] if self.x_series is not None else 0
@@ -94,75 +97,6 @@ class LimitStatistics:
     tail_bound: float
 
 
-def alpha_array(sched, t: int) -> np.ndarray:
-    ks = np.arange(t)
-    if isinstance(sched, PowerStep):
-        return sched.a1 / (ks + sched.a2) ** sched.beta
-    return np.array([sched.alpha(int(k)) for k in ks], dtype=float)
-
-
-def scale_array(noise, k0: int, k1: int) -> np.ndarray:
-    """b(k) for k in [k0, k1); zero where a power base is nonpositive."""
-    ks = np.arange(k0, k1)
-    if isinstance(noise, PowerNoise):
-        base = ks + noise.a2 - noise.offset
-        out = np.zeros(len(ks))
-        pos = base > 0
-        out[pos] = noise.b_floor * base[pos] ** noise.gamma
-        if noise.gamma < 0 and not pos.all():
-            raise ValueError("power noise with gamma < 0 undefined at nonpositive base")
-        if noise.gamma == 0:
-            out[~pos] = noise.b_floor
-        return out
-    if isinstance(noise, GeometricNoise):
-        return noise.c * noise.q ** ks.astype(float)
-    if isinstance(noise, ConstantNoise):
-        return np.full(len(ks), noise.b)
-    if noise is None:
-        return np.zeros(len(ks))
-    return np.array([noise.scale(int(k)) for k in ks], dtype=float)
-
-
-def apply_update(x: np.ndarray, weights: np.ndarray, alpha_k: float, y: np.ndarray) -> np.ndarray:
-    """Per-agent (scalar form) update from received transmissions ``y``."""
-    n = len(x)
-    out = np.empty(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            a_ij = weights[i, j]
-            if a_ij != 0.0:
-                acc += abs(a_ij) * (x[i] - np.sign(a_ij) * y[j])
-        out[i] = x[i] - alpha_k * acc
-    return out
-
-
-def step(
-    x: np.ndarray,
-    graph: SignedGraph,
-    sched,
-    noise_sched,
-    k: int,
-    streams: list[LaplaceStream] | None = None,
-    omega: np.ndarray | None = None,
-) -> np.ndarray:
-    """One reference step; noise comes from ``streams`` or is injected."""
-    b = noise_sched.scale(k) if noise_sched is not None else 0.0
-    if omega is None:
-        if streams is not None and b > 0.0:
-            omega = np.array([st.sample(b) for st in streams])
-        else:
-            omega = np.zeros(graph.n)
-            if streams is not None:
-                for st in streams:
-                    st.counter += 1
-    y = x + omega
-    out = apply_update(x, graph.weights, sched.alpha(k), y)
-    if not np.all(np.isfinite(out)) or np.abs(out).max() > DIVERGENCE_LIMIT:
-        raise DivergenceError(k + 1)
-    return out
-
-
 def record_points(t: int, stride: int = 10) -> np.ndarray:
     """Record set: 0, T, every ``stride`` steps, log-densified near k = 0."""
     pts = set(range(0, t + 1, stride))
@@ -189,13 +123,18 @@ def run_many(
     collect_y: bool = False,
     tail_start: int | None = None,
 ):
-    """Simulate ``runs`` independent runs; returns (record_idx, KernelResult)."""
+    """Simulate ``runs`` independent runs; returns (record_idx, KernelResult).
+
+    ``collect_states`` / ``collect_y`` record the states of the first run only.
+    """
     if t < 1:
         raise ValueError("horizon must be >= 1")
+    ks = np.arange(t)
+    alpha = sched.alpha(ks)
     c_max = float(np.max(graph.degrees))
-    if sched.alpha(0) * c_max >= 1.0:
+    if alpha[0] * c_max >= 1.0:
         warnings.warn(
-            f"alpha(0)*c_max = {sched.alpha(0) * c_max:g} >= 1: early steps may "
+            f"alpha(0)*c_max = {alpha[0] * c_max:g} >= 1: early steps may "
             "transiently amplify disagreement",
             RuntimeWarning,
             stacklevel=2,
@@ -207,8 +146,8 @@ def run_many(
         graph.laplacian(),
         np.asarray(gauge, dtype=float),
         np.asarray(x0, dtype=float),
-        alpha_array(sched, t),
-        scale_array(noise_sched, 0, t),
+        alpha,
+        np.zeros(t) if noise_sched is None else noise_sched.scale(ks),
         seed,
         np.arange(first_run, first_run + runs, dtype=np.int64),
         record_idx,
@@ -247,15 +186,7 @@ def run(
         collect_states=True,
         collect_y=collect_y,
     )
-    if res.diverged_at[0] >= 0:
-        raise DivergenceError(int(res.diverged_at[0]))
-    return Trajectory(
-        ks=ks,
-        v_series=res.v[0],
-        gauge_mean_series=res.gmean[0],
-        x_series=res.x_rec[0],
-        y_series=res.y_rec[0] if collect_y else None,
-    )
+    return Trajectory.first_run(ks, res)
 
 
 def disagreement(x: np.ndarray, gauge: np.ndarray) -> float:
@@ -305,9 +236,8 @@ def _series_sum_and_tail(sched: PowerStep, noise, k_trunc: int) -> tuple[float, 
         )
     else:
         raise TypeError(f"unsupported noise schedule {type(noise).__name__}")
-    a = alpha_array(sched, k_trunc + 1)
-    b = scale_array(noise, 0, k_trunc + 1)
-    partial = float(np.sum(a**2 * b**2))
+    ks = np.arange(k_trunc + 1)
+    partial = float(np.sum(sched.alpha(ks) ** 2 * noise.scale(ks) ** 2))
     return partial, float(tail), k_trunc
 
 

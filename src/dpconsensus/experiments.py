@@ -279,6 +279,8 @@ def run_experiment(
         runs,
         seed=seed,
         stride=cfg.stride,
+        collect_states=out_dir is not None,
+        collect_y=out_dir is not None and cfg.noise is not None,
     )
     diverged = int(np.sum(res.diverged_at >= 0))
     if diverged > max(1, runs) * 0.01:
@@ -309,7 +311,7 @@ def run_experiment(
         config_echo=dict(cfg.raw) if cfg.raw else _echo(cfg),
     )
     if out_dir is not None:
-        _write_artifacts(cfg, report, gauge, out_dir, seed)
+        _write_artifacts(report, engine.Trajectory.first_run(ks, res), out_dir, seed)
     return report
 
 
@@ -327,14 +329,11 @@ def _echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _write_artifacts(cfg, report, gauge, out_dir, seed) -> None:
+def _write_artifacts(report, traj, out_dir, seed) -> None:
+    """report.json, aggregate.csv and trajectory_000.csv (run 0 of the batch)."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    traj = engine.run(
-        cfg.x0, cfg.graph, gauge, cfg.step, cfg.noise, cfg.horizon,
-        seed=seed, run_index=0, stride=cfg.stride, collect_y=cfg.noise is not None,
-    )
     traj.to_csv(os.path.join(out_dir, "trajectory_000.csv"))
     with open(os.path.join(out_dir, "aggregate.csv"), "w") as f:
         f.write("k,v_mean,v_q10,v_q50,v_q90\n")
@@ -387,8 +386,7 @@ def _decile_noise_std(noise, seed, runs, n, t, first: bool) -> float:
     lo, hi = (0, t // 10) if first else (t - t // 10, t)
     r = min(runs, 50)
     samples = []
-    for k in range(lo, hi):
-        b = engine.scale_array(noise, k, k + 1)[0]
+    for k, b in zip(range(lo, hi), noise.scale(np.arange(lo, hi))):
         samples.append(laplace_matrix(seed, np.arange(r), n, k, b).ravel())
     stacked = np.concatenate(samples)
     return float(stacked.std())

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "LaplaceStream",
     "laplace_sample",
     "laplace_matrix",
     "laplace_from_keys",
@@ -77,18 +76,3 @@ def laplace_matrix(seed: int, runs: np.ndarray, n_agents: int, step: int, b: flo
         return np.zeros((len(runs), n_agents))
     keys = stream_keys(seed, np.asarray(runs)[:, None], np.arange(n_agents)[None, :])
     return laplace_from_keys(keys, step, b)
-
-
-class LaplaceStream:
-    """Sequential view of one (run, agent) stream; advances a step counter."""
-
-    def __init__(self, master_seed: int, run: int, agent: int, counter: int = 0):
-        self.master_seed = int(master_seed)
-        self.run = int(run)
-        self.agent = int(agent)
-        self.counter = int(counter)
-
-    def sample(self, b: float) -> float:
-        value = laplace_sample(self.master_seed, self.run, self.agent, self.counter, b)
-        self.counter += 1
-        return value

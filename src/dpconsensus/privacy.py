@@ -93,7 +93,7 @@ def epsilon_finite(sched: PowerStep, noise, c_min: float, delta: float, horizon:
         factors = 1.0 - c_min * sched.a1 / (ls + sched.a2) ** sched.beta
         cp = np.cumprod(factors)
         s_vals = delta * running * np.concatenate(([1.0], cp[:-1]))
-        b_vals = _noise_scales(noise, k, hi + 1)
+        b_vals = noise.scale(np.arange(k, hi + 1))
         if np.any(b_vals <= 0.0):
             return math.inf
         total += float(np.sum(s_vals / b_vals))
@@ -102,17 +102,6 @@ def epsilon_finite(sched: PowerStep, noise, c_min: float, delta: float, horizon:
             break
         k = hi + 1
     return total
-
-
-def _noise_scales(noise, k0: int, k1: int) -> np.ndarray:
-    ks = np.arange(k0, k1, dtype=float)
-    if isinstance(noise, PowerNoise):
-        base = ks + noise.a2 - noise.offset
-        out = np.zeros(len(ks))
-        pos = base > 0
-        out[pos] = noise.b_floor * base[pos] ** noise.gamma
-        return out
-    return np.array([noise.scale(int(k)) for k in ks], dtype=float)
 
 
 def _require_shared_power_noise(sched: PowerStep, noise) -> PowerNoise:
@@ -133,7 +122,9 @@ def epsilon_infinity_bound(
 
     Four convergent branches: beta = 1 with nonnegative / negative gamma
     (both needing a1*c_min + gamma > 1), and beta < 1 with nonnegative /
-    negative gamma via the upper incomplete gamma function.
+    negative gamma via the upper incomplete gamma function.  Where the
+    beta < 1 form overflows (beta near 1) the case is "overflow": no finite
+    bound, ``convergent`` False.
     """
     noise = _require_shared_power_noise(sched, noise)
     _check_contraction(sched, c_min)
@@ -161,24 +152,31 @@ def epsilon_infinity_bound(
         rest = delta * (1 + a2) ** acm / bf * (head + num2 / den2)
         return EpsilonBound(first + rest, "case2", True)
 
-    # beta < 1: always convergent under the contraction check.
+    # beta < 1: always convergent under the contraction check, but e^z and
+    # Gamma(shape) leave the float range as beta -> 1.
     shape = (1 - gamma) / (1 - beta)
     z = acm * a2 ** (1 - beta) / (1 - beta)
-    pre = delta * math.exp(z) / (bf * (1 - beta))
-    rest = pre * (acm / (1 - beta)) ** (-shape) * upper_incomplete_gamma(shape, z)
+    try:
+        pre = delta * math.exp(z) / (bf * (1 - beta))
+        rest = pre * (acm / (1 - beta)) ** (-shape) * upper_incomplete_gamma(shape, z)
+    except OverflowError:
+        return EpsilonBound(math.inf, "overflow", False)
     if gamma >= 0.0:
         return EpsilonBound(first + rest, "case3", True)
     # Negative gamma: the summand peaks in the interior, so one extra term
     # bounds the sum-vs-integral gap around the peak -- but only when the
     # peak sits at step index >= 2.
-    k_peak = (-gamma / acm) ** (-1.0 / beta) - a2 + 1
-    if math.floor(k_peak) >= 2:
+    try:
+        x_peak = (-gamma / acm) ** (-1.0 / beta)
+    except OverflowError:  # gamma -> 0-: the peak recedes to infinity and its term to 0
+        x_peak = math.inf
+    if x_peak - a2 + 1 >= 2:
         peak = (
             delta
             * math.exp(z)
             / bf
             * (-gamma / acm) ** (gamma / beta)
-            * math.exp(gamma / (1 - beta) * (-gamma / acm) ** (-1.0 / beta))
+            * math.exp(gamma / (1 - beta) * x_peak)
         )
         rest += peak
     return EpsilonBound(first + rest, "case4", True)

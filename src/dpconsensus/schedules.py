@@ -6,12 +6,18 @@ carries an explicit ``offset`` in {0, 1} because the accuracy condition is
 stated with ``b(k) = b_floor * (k + a2)**gamma`` while the privacy bounds use
 ``b(k) = b_floor * (k + a2 - 1)**gamma``; both conventions must be
 representable exactly.
+
+Each schedule evaluates itself: ``alpha(k)`` and ``scale(k)`` take a step
+index or an integer array of them, and are the only way the simulator, the
+privacy accountant and the designer turn a schedule into numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "PowerStep",
@@ -47,7 +53,7 @@ class PowerStep:
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
 
-    def alpha(self, k) -> float:
+    def alpha(self, k):
         return self.a1 / (k + self.a2) ** self.beta
 
 
@@ -61,7 +67,7 @@ class GeometricStep:
         if not 0 < self.p < 1:
             raise ValueError("p must lie in (0, 1)")
 
-    def alpha(self, k) -> float:
+    def alpha(self, k):
         return self.p**k
 
 
@@ -69,9 +75,9 @@ class GeometricStep:
 class PowerNoise:
     """b(k) = b_floor * (k + a2 - offset)**gamma.
 
-    With ``offset == 1`` the schedule starts at k = 1; evaluating a
-    zero base returns 0 for gamma > 0 (no noise injected at that step)
-    and raises for gamma < 0.
+    The schedule starts where the base ``k + a2 - offset`` turns positive:
+    before that (k = 0 for offset 1 with a2 <= 1) b(k) = 0, so no noise is
+    injected at that step, whatever the sign of gamma.
     """
 
     b_floor: float
@@ -87,15 +93,12 @@ class PowerNoise:
         if self.a2 < 0:
             raise ValueError("a2 must be >= 0")
 
-    def scale(self, k) -> float:
-        base = k + self.a2 - self.offset
-        if base <= 0:
-            if self.gamma > 0:
-                return 0.0
-            if self.gamma == 0:
-                return self.b_floor
-            raise ValueError(f"b(k) undefined at k={k}: base {base} with gamma < 0")
-        return self.b_floor * base**self.gamma
+    def scale(self, k):
+        base = np.asarray(k) + self.a2 - self.offset
+        started = base > 0
+        # 1.0 stands in before the start, so 0**gamma (inf for gamma < 0) is never taken.
+        b = np.where(started, self.b_floor * np.where(started, base, 1.0) ** self.gamma, 0.0)
+        return b if b.ndim else float(b)
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ class GeometricNoise:
         if not 0 < self.q < 1:
             raise ValueError("q must lie in (0, 1)")
 
-    def scale(self, k) -> float:
+    def scale(self, k):
         return self.c * self.q**k
 
 
@@ -123,8 +126,8 @@ class ConstantNoise:
         if self.b <= 0:
             raise ValueError("b must be > 0")
 
-    def scale(self, k) -> float:
-        return self.b
+    def scale(self, k):
+        return np.full(np.shape(k), self.b, dtype=float) if np.ndim(k) else self.b
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from dpconsensus.special import upper_incomplete_gamma
 
 import conftest
 from conftest import random_balanced_graph
+from oracles import apply_update
 
 X0 = np.array([10.0, -8.0, 6.0, -4.0, 2.0])
 STEP_A = PowerStep(0.3, 1.0, 1.0)  # alpha(k) = 0.3/(k+1)
@@ -82,8 +83,8 @@ def test_criterion_02_variance_law(fig1a, gauge):
     )
     terminal = (res.x_final * gauge).mean(axis=1)
     emp = terminal.var(ddof=1)
-    alphas = engine.alpha_array(STEP_A, t)
-    scales = engine.scale_array(NOISE_A, 0, t)
+    alphas = STEP_A.alpha(np.arange(t))
+    scales = NOISE_A.scale(np.arange(t))
     sq_sum = float(np.sum(fig1a.degrees**2))
     n = fig1a.n
     pred = (2.0 * sq_sum / n**2) * float(np.sum(alphas**2 * scales**2))
@@ -182,8 +183,8 @@ def test_criterion_06_sensitivity_correctness():
         for step_idx in range(k - 1):
             y = x_a + rng.laplace(scale=1.0, size=n)  # identical observations
             alpha_k = sched.alpha(step_idx)
-            x_a = engine.apply_update(x_a, weights, alpha_k, y)
-            x_b = engine.apply_update(x_b, weights, alpha_k, y)
+            x_a = apply_update(x_a, weights, alpha_k, y)
+            x_b = apply_update(x_b, weights, alpha_k, y)
         gap = float(np.sum(np.abs(x_b - x_a)))
         exact = delta * math.prod(
             1.0 - sched.alpha(j) * degrees[i0] for j in range(k - 1)
@@ -319,7 +320,7 @@ def test_criterion_10_baseline_contrast(fig1a, gauge):
         def decile_std(noise, lo, hi, seed=seed):
             samples = [
                 laplace_matrix(
-                    seed, runs_idx, fig1a.n, k, engine.scale_array(noise, k, k + 1)[0]
+                    seed, runs_idx, fig1a.n, k, noise.scale(k)
                 ).ravel()
                 for k in range(lo, hi)
             ]

@@ -7,13 +7,11 @@ import pytest
 from dpconsensus import _kernels, engine
 from dpconsensus.engine import (
     DivergenceError,
-    apply_update,
     disagreement,
     limit_statistics,
     record_points,
     run,
     run_many,
-    step,
 )
 from dpconsensus.graphs import SignedGraph, check_structural_balance
 from dpconsensus.noise import DEFAULT_SEED, laplace_matrix
@@ -27,6 +25,7 @@ from dpconsensus.schedules import (
 )
 
 from conftest import random_balanced_graph
+from oracles import apply_update, step
 
 TWO_PLUS = SignedGraph.from_edges(2, [(1, 2, 1.0)])
 TWO_MINUS = SignedGraph.from_edges(2, [(1, 2, -1.0)])
@@ -164,7 +163,7 @@ def _reference_batch(x0, graph, gauge, sched, noise, t, runs, tail_start):
     the limit; from then on its state is zero and its records are NaN.
     """
     lap, w = graph.laplacian(), graph.weights  # both symmetric: L^T = L, A^T = A
-    alpha, bscale = engine.alpha_array(sched, t), engine.scale_array(noise, 0, t)
+    alpha, bscale = sched.alpha(np.arange(t)), noise.scale(np.arange(t))
     ks = record_points(t)
     slot = {int(k): i for i, k in enumerate(ks)}
     run_ids = np.arange(runs)
@@ -230,8 +229,8 @@ def test_kernel_matches_stepwise_reference(fig1a, gauge1a, x0, sched, noise, div
     np.testing.assert_array_equal(res.diverged_at, diverged_at)
     np.testing.assert_array_equal(res.v, v)
     np.testing.assert_array_equal(res.x_final, x_final)
-    np.testing.assert_array_equal(res.x_rec, x_rec)
-    np.testing.assert_array_equal(res.y_rec, y_rec)
+    np.testing.assert_array_equal(res.x_rec, x_rec[0])  # states are recorded for run 0 only
+    np.testing.assert_array_equal(res.y_rec, y_rec[0])
     np.testing.assert_array_equal(res.max_tail_delta, tail)
     if diverges:
         assert (res.diverged_at > 0).all()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dpconsensus import cli, experiments
+from dpconsensus import cli, engine, experiments
 from dpconsensus.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -174,7 +174,6 @@ class TestRunExperiment:
     def test_aggregates_recomputable(self):
         cfg = config_from_dict(minimal_doc(runs=12, horizon=300))
         rep = run_experiment(cfg)
-        from dpconsensus import engine
         from dpconsensus.graphs import check_structural_balance
 
         gauge = check_structural_balance(cfg.graph)
@@ -311,6 +310,40 @@ class TestCli:
         with pytest.warns(RuntimeWarning):
             rc = cli.main(["simulate", "--config", str(p)])
         assert rc == cli.EXIT_DIVERGENCE
+
+    def test_run0_divergence_exits_when_writing_artifacts(self, tmp_path, capsys):
+        # At this seed run 0 is the only one of 100 to diverge: the batch is
+        # within its 1% tolerance, but trajectory_000.csv cannot be written.
+        doc = minimal_doc(noise={"kind": "constant", "b": 5e11}, horizon=1, runs=100, seed=303)
+        p = tmp_path / "run0.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(p)]) == cli.EXIT_OK
+        assert "(1 diverged)" in capsys.readouterr().out
+        rc = cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_DIVERGENCE
+        assert "at step 1" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:alpha\\(0\\)\\*c_max:RuntimeWarning")
+    def test_design_points_simulate(self, tmp_path, capsys, stats1a):
+        """Points that design recommends with a2 = 1 and gamma < 0 simulate.
+
+        Their offset-1 noise has base k + a2 - 1 = 0 at k = 0, where b(0) = 0.
+        """
+        assert cli.main(["design", "--config", "sec4_text"]) == cli.EXIT_OK
+        doc, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+        points = [q for q in doc["feasible"] if q["a2"] == 1.0 and q["gamma"] < 0]
+        assert (0.7, 1.0, 0.6, -0.5) in {(q["a1"], q["a2"], q["beta"], q["gamma"]) for q in points}
+        for q in points:
+            step = {"kind": "power", "a1": q["a1"], "a2": q["a2"], "beta": q["beta"]}
+            noise = {"kind": "power", "b_floor": q["b_floor"], "gamma": q["gamma"], "a2": q["a2"], "offset": 1}
+            p = tmp_path / "point.json"
+            p.write_text(json.dumps(minimal_doc(step=step, noise=noise)))
+            rc = cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+            assert rc == cli.EXIT_OK, q
+        sched, nsched = PowerStep(0.7, 1.0, 0.6), PowerNoise(4.6416, -0.5, 1.0, offset=1)
+        x0 = np.array(minimal_doc()["x0"])
+        ls = engine.limit_statistics(x0, np.ones(5), stats1a.degrees, sched, nsched)
+        assert 0.0 < ls.tail_bound < ls.limit_variance < math.inf
 
     def test_privacy_report(self, capsys):
         rc = cli.main(["privacy", "report", "--config", "sec4_text"])

@@ -8,7 +8,6 @@ from scipy import stats as sstats
 
 from dpconsensus.noise import (
     DEFAULT_SEED,
-    LaplaceStream,
     laplace_from_keys,
     laplace_matrix,
     laplace_sample,
@@ -25,16 +24,6 @@ def test_determinism():
     b = laplace_sample(DEFAULT_SEED, 3, 1, 42, 1.5)
     assert a == b
     assert laplace_sample(DEFAULT_SEED + 1, 3, 1, 42, 1.5) != a
-
-
-def test_stream_advances_counter():
-    st = LaplaceStream(DEFAULT_SEED, run=2, agent=4)
-    first = st.sample(1.0)
-    second = st.sample(1.0)
-    assert st.counter == 2
-    assert first == laplace_sample(DEFAULT_SEED, 2, 4, 0, 1.0)
-    assert second == laplace_sample(DEFAULT_SEED, 2, 4, 1, 1.0)
-    assert first != second
 
 
 def test_scale_is_linear():

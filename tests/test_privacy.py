@@ -2,14 +2,58 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpconsensus import privacy
-from dpconsensus.engine import apply_update
 from dpconsensus.schedules import ConstantNoise, PowerNoise, PowerStep
+
+from oracles import apply_update
 
 
 def offset1_noise(b_floor, gamma, a2):
     return PowerNoise(b_floor=b_floor, gamma=gamma, a2=a2, offset=1)
+
+
+@st.composite
+def accounting_setups(draw):
+    """(sched, noise, c_min, delta) with a1*c_min < a2^beta and gamma < beta - 1/2."""
+    a2 = draw(st.floats(0.5, 4.0))
+    beta = draw(st.one_of(st.just(1.0), st.floats(0.51, 1.0)))
+    c_min = draw(st.floats(0.5, 3.0))
+    a1 = draw(st.floats(0.01, 0.99)) * a2**beta / c_min
+    gamma = draw(st.floats(-1.0, beta - 0.5, exclude_max=True))
+    noise = offset1_noise(draw(st.floats(0.1, 10.0)), gamma, a2)
+    return PowerStep(a1, a2, beta), noise, c_min, draw(st.floats(0.1, 2.0))
+
+
+class TestAccountingProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(setup=accounting_setups(), t1=st.integers(1, 3000), extra=st.integers(0, 3000))
+    def test_epsilon_nondecreasing_in_horizon(self, setup, t1, extra):
+        sched, noise, c_min, delta = setup
+        shorter = privacy.epsilon_finite(sched, noise, c_min, delta, t1)
+        longer = privacy.epsilon_finite(sched, noise, c_min, delta, t1 + extra)
+        # Pairwise summation of <= 6000 nonnegative terms is exact to about
+        # log2(6000) ulp; once the terms drop below an ulp the longer sum may
+        # round one ulp lower.
+        assert longer >= shorter * (1 - 64 * np.finfo(float).eps)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(setup=accounting_setups(), t=st.integers(1, 20_000))
+    def test_epsilon_below_convergent_bound(self, setup, t):
+        sched, noise, c_min, delta = setup
+        bound = privacy.epsilon_infinity_bound(sched, noise, c_min, delta)
+        if bound.convergent:
+            assert privacy.epsilon_finite(sched, noise, c_min, delta, t) <= bound.value * (1 + 1e-12)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(setup=accounting_setups(), t=st.integers(1, 500), data=st.data())
+    def test_sensitivity_matches_series(self, setup, t, data):
+        sched, _, c_min, delta = setup
+        k = data.draw(st.integers(1, t))
+        series = privacy.sensitivity_series(t, sched, c_min, delta)
+        assert privacy.sensitivity(k, sched, c_min, delta) == series[k - 1]
 
 
 class TestSensitivity:
@@ -185,6 +229,19 @@ class TestEpsilonInfinity:
         )
         assert plus.case == "case1" and minus.case == "case2"
         assert minus.value == pytest.approx(plus.value, rel=0.05)
+
+    def test_float_range_edges(self):
+        # Near beta = 1, e^z and Gamma(shape) overflow: no finite bound, no crash.
+        near_one = privacy.epsilon_infinity_bound(
+            PowerStep(0.5, 1.0, 0.99999), offset1_noise(1.0, 0.0, 1.0), 1.0, 1.0
+        )
+        assert near_one.case == "overflow" and not near_one.convergent
+        assert math.isinf(near_one.value)
+        # gamma -> 0-: the interior peak recedes to infinity and adds nothing.
+        sched = PowerStep(0.5, 1.0, 0.75)
+        tiny = privacy.epsilon_infinity_bound(sched, offset1_noise(1.0, -1e-300, 1.0), 1.0, 1.0)
+        flat = privacy.epsilon_infinity_bound(sched, offset1_noise(1.0, 0.0, 1.0), 1.0, 1.0)
+        assert tiny.case == "case4" and tiny.value == pytest.approx(flat.value, rel=1e-12)
 
     def test_contraction_guard(self):
         sched = PowerStep(1.0, 1.0, 1.0)

@@ -45,13 +45,36 @@ def test_noise_scale_values():
 
 
 def test_power_noise_offset_domain():
+    # The offset-1 schedule starts at k = 1: no noise before it, whatever gamma.
     n = PowerNoise(1.0, 0.1, a2=1, offset=1)
-    assert n.scale(0) == 0.0  # base 0, growing exponent: no noise at k=0
+    assert n.scale(0) == 0.0
     assert n.scale(1) == pytest.approx(1.0)
     flat = PowerNoise(1.5, 0.0, a2=1, offset=1)
-    assert flat.scale(0) == 1.5
-    with pytest.raises(ValueError):
-        PowerNoise(1.0, -0.2, a2=1, offset=1).scale(0)
+    assert flat.scale(0) == 0.0
+    assert flat.scale(1) == 1.5
+    decaying = PowerNoise(1.0, -0.2, a2=1, offset=1)
+    assert decaying.scale(0) == 0.0
+    assert decaying.scale(2) == pytest.approx(2**-0.2)
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        PowerStep(0.7, 0.37, 0.6),
+        GeometricStep(0.8),
+        PowerNoise(1.3, -0.3, a2=1, offset=1),
+        PowerNoise(2.5, 0.2, a2=0.5, offset=0),
+        GeometricNoise(3.1, 0.9),
+        ConstantNoise(1.7),
+    ],
+)
+def test_array_evaluation_matches_scalar(sched):
+    f = sched.alpha if hasattr(sched, "alpha") else sched.scale
+    ks = np.arange(200)
+    got = f(ks)
+    assert got.shape == ks.shape and got.dtype == np.float64
+    # NumPy's array pow and the C library's scalar pow may differ in the last bit.
+    np.testing.assert_allclose(got, [f(int(k)) for k in ks], rtol=2 * np.finfo(float).eps, atol=0)
 
 
 def test_geometric_step_baseline_only():
