@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import stdtrit
 
 from . import engine
 from .graphs import SignedGraph, check_structural_balance, fixture_graph, spectrum
@@ -245,14 +245,18 @@ def estimate_rate(ks, v_mean, window: tuple[float, float]) -> RateFit:
         raise ValueError("need at least 10 recorded points in the window")
     if np.any(v[mask] <= 0):
         raise NonpositiveValuesError("nonpositive disagreement in window; use a later window")
-    res = sstats.linregress(np.log(ks[mask]), np.log(v[mask]))
+    # scipy.stats.linregress's arithmetic, without importing scipy.stats.
+    sxx, sxy, _, syy = np.cov(np.log(ks[mask]), np.log(v[mask]), bias=1).flat
+    r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    slope = sxy / sxx
     dof = int(mask.sum()) - 2
-    half = sstats.t.ppf(0.975, dof) * res.stderr if dof > 0 else math.inf
+    stderr = np.sqrt((1 - r**2) * syy / sxx / dof)
+    half = stdtrit(dof, 0.975) * stderr
     return RateFit(
-        slope=float(res.slope),
-        ci_low=float(res.slope - half),
-        ci_high=float(res.slope + half),
-        stderr=float(res.stderr),
+        slope=float(slope),
+        ci_low=float(slope - half),
+        ci_high=float(slope + half),
+        stderr=float(stderr),
         window=(int(window[0]), int(window[1])),
         n_points=int(mask.sum()),
     )

@@ -6,6 +6,8 @@ import importlib.resources
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 __all__ = [
     "SignedGraph",
@@ -13,7 +15,6 @@ __all__ = [
     "StructurallyUnbalancedError",
     "check_structural_balance",
     "spectrum",
-    "jacobi_eigenvalues",
     "load_edge_list",
     "parse_edge_list",
     "fixture_graph",
@@ -44,14 +45,17 @@ class SignedGraph:
             raise ValueError("weights must be a square matrix")
         if w.shape[0] < 2:
             raise ValueError("need at least 2 agents")
-        if not np.allclose(w, w.T, atol=0.0):
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        if not np.array_equal(w, w.T):
             raise ValueError("weights must be symmetric")
         if np.any(np.diag(w) != 0.0):
             raise ValueError("self-loops are not allowed")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if not _connected(w):
+        # csgraph converts dense input slowly; a CSR copy is cheaper even at n = 5.
+        if csgraph.connected_components(sparse.csr_array(w), directed=False, return_labels=False) != 1:
             raise DisconnectedGraphError("graph induced by nonzero weights is not connected")
 
     @property
@@ -96,81 +100,37 @@ class GraphSpectrum:
         object.__setattr__(self, "degree_square_sum", float((self.degrees**2).sum()))
 
 
-def _connected(w: np.ndarray) -> bool:
-    # Union-find over nonzero-weight edges.
-    n = w.shape[0]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rows, cols = np.nonzero(w)
-    for i, j in zip(rows, cols):
-        if i < j:
-            parent[find(i)] = find(j)
-    root = find(0)
-    return all(find(i) == root for i in range(n))
-
-
 def check_structural_balance(g: SignedGraph) -> np.ndarray:
     """Two-color the sign pattern into a gauge vector ``s`` with entries +-1.
 
     Returns ``s`` such that ``s_i * s_j * sgn(a_ij) == +1`` on every edge,
     normalized so that agent 1 carries +1.  Raises
     :class:`StructurallyUnbalancedError` when no such coloring exists.
+
+    The gauge is read off a BFS spanning tree: its signed lift, with nodes
+    ``(i, +)`` and ``(i, -)`` and an edge from ``(i, σ)`` to
+    ``(j, σ·sgn a_ij)`` for each tree edge, splits into exactly two
+    components, and ``s_j`` is +1 where ``(j, +)`` shares agent 1's.
     """
     n = g.n
     w = g.weights
-    s = np.zeros(n, dtype=int)
-    s[0] = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(w[i])[0]:
-            want = s[i] * (1 if w[i, j] > 0 else -1)
-            if s[j] == 0:
-                s[j] = want
-                stack.append(j)
-            elif s[j] != want:
-                raise StructurallyUnbalancedError(
-                    f"graph is not structurally balanced: edge ({i + 1},{j + 1}) "
-                    "is inconsistent with any two-camp split"
-                )
-    return s.astype(float)
-
-
-def jacobi_eigenvalues(m: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below ``tol``.
-    Deterministic and dependency-free; intended for n <= a few hundred.
-    """
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a**2) - np.sum(np.diag(a) ** 2), 0.0))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) < tol / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return np.sort(np.diag(a))
+    tree = csgraph.breadth_first_tree(sparse.csr_array(w), 0, directed=False).tocoo()
+    # Node i of the lift is (i, +) and node i + n is (i, -); a negative tree
+    # edge crosses between the two copies.
+    cross = n * (tree.data < 0)
+    rows = np.concatenate([tree.row, tree.row + n])
+    cols = np.concatenate([tree.col + cross, tree.col + n - cross])
+    lift = sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
+    _, labels = csgraph.connected_components(lift, directed=False)
+    s = np.where(labels[:n] == labels[0], 1.0, -1.0)
+    bad = np.argwhere(s[:, None] * w * s[None, :] < 0)  # row-major: the first has i < j
+    if len(bad):
+        i, j = bad[0]
+        raise StructurallyUnbalancedError(
+            f"graph is not structurally balanced: edge ({i + 1},{j + 1}) "
+            "is inconsistent with any two-camp split"
+        )
+    return s
 
 
 def spectrum(g: SignedGraph, s: np.ndarray) -> GraphSpectrum:
@@ -183,7 +143,7 @@ def spectrum(g: SignedGraph, s: np.ndarray) -> GraphSpectrum:
         raise ValueError("not a valid gauge: S A S has negative entries")
     lap = g.laplacian()
     lap_s = s[:, None] * lap * s[None, :]
-    eigs = jacobi_eigenvalues(lap_s)
+    eigs = np.linalg.eigvalsh(lap_s)
     lambda2 = float(eigs[1])
     lap_norm = float(eigs[-1])  # largest eigenvalue of the PSD gauge Laplacian
     return GraphSpectrum(

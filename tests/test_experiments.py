@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +256,15 @@ class TestCompareBaselines:
         assert not verdicts["protocol"].biased
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a cold start; the rate fit does without it.
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dpconsensus.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestCli:
     def test_simulate_ok(self, capsys):
         rc = cli.main(["simulate", "--config", "fig2a", "--runs", "5", "--seed", "7"])
@@ -298,6 +311,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: graph is not structurally balanced")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["rates"], ["design"], ["simulate"]])
+    def test_infinite_weight_is_config_error(self, tmp_path, capsys, command):
+        edges = [[1, 4, 1.0], [1, 2, -1.0], [4, 5, -1.0], [2, 5, 1.0], [3, 4, float("inf")]]
+        design = {"s_star": 0.59, "r_star": 9, "epsilon_star": 2.5, "delta": 1}
+        p = tmp_path / "inf.json"
+        p.write_text(json.dumps(minimal_doc(graph={"n": 5, "edges": edges}, design=design)))
+        rc = cli.main([*command, "--config", str(p)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: weights must be finite\n"
 
     def test_simulate_divergence_exit(self, tmp_path, capsys):
         doc = minimal_doc(
