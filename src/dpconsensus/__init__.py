@@ -10,10 +10,7 @@ from .engine import (
     BACKEND_NAME,
     DivergenceError,
     LimitStatistics,
-    Trajectory,
-    disagreement,
     limit_statistics,
-    run,
     run_many,
 )
 from .graphs import (
@@ -23,7 +20,6 @@ from .graphs import (
     StructurallyUnbalancedError,
     check_structural_balance,
     fixture_graph,
-    load_edge_list,
     spectrum,
 )
 from .schedules import (

@@ -15,10 +15,6 @@ import numpy as np
 
 from .noise import laplace_from_keys, stream_keys
 
-# Reported in ``report.json``; the name predates the single kernel and is
-# kept so that same-seed artifacts stay byte-identical.
-BACKEND_NAME = "pure"
-
 _BLOCK_ELEMENTS = 2**16
 
 

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 divergence, 3 infeasible design, 4 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import designer, experiments, privacy
-from .engine import DivergenceError
+from .engine import BACKEND_NAME, DivergenceError
 from .graphs import StructurallyUnbalancedError, check_structural_balance, spectrum
 from .schedules import PowerNoise, PowerStep
 
@@ -39,12 +40,12 @@ def _stats(cfg):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load(args.config)
-    report = experiments.run_experiment(
-        cfg, out_dir=args.out, runs=args.runs, seed=args.seed
-    )
+    # Overrides pass the same checks as config values.
+    over = {k: v for k, v in (("runs", args.runs), ("seed", args.seed)) if v is not None}
+    cfg = dataclasses.replace(_load(args.config), **over)
+    report = experiments.run_experiment(cfg, out_dir=args.out)
     print(f"config           : {cfg.name}")
-    print(f"backend          : {report.backend}")
+    print(f"backend          : {BACKEND_NAME}")
     print(f"runs             : {report.runs} ({report.diverged} diverged)")
     print(f"initial gauge avg: {report.initial_gauge_mean:.6g}")
     print(f"terminal mean    : {report.terminal_gauge_mean:.6g}")
@@ -73,7 +74,10 @@ def _privacy_schedules(cfg, args):
     delta = args.delta
     if delta is None:
         delta = (cfg.design or {}).get("delta", 1.0)
-    return cfg.step, noise, float(delta)
+    delta = float(delta)
+    if not (math.isfinite(delta) and delta > 0):
+        raise experiments.ConfigError(f"delta must be finite and > 0, got {delta:g}")
+    return cfg.step, noise, delta
 
 
 def _cmd_privacy(args) -> int:

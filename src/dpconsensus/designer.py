@@ -11,12 +11,10 @@ constraint in its own convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import limit_statistics
 from .graphs import GraphSpectrum
 from .privacy import check_epsilon_design
 from .schedules import DivergentSeriesError, PowerNoise, PowerStep, sum_alpha2_b2_bound
@@ -27,7 +25,6 @@ __all__ = [
     "DesignPoint",
     "DesignResult",
     "check_accuracy_design",
-    "achieved_accuracy",
     "design_search",
     "default_grid",
     "predict_ms_rate",
@@ -101,17 +98,6 @@ def check_accuracy_design(
         raise DivergentSeriesError("gamma >= beta - 1/2: limit variance diverges")
     margin = _accuracy_rhs(target, stats) - sum_alpha2_b2_bound(sched, nsched)
     return margin >= 0.0, margin
-
-
-def achieved_accuracy(
-    sched: PowerStep, nsched, stats: GraphSpectrum, r: float
-) -> float:
-    """Exact-series s with s = Var(x*)/r^2; may exceed 1 (clamp for reports)."""
-    if r <= 0:
-        raise ValueError("accuracy radius must be positive")
-    n = len(stats.degrees)
-    ls = limit_statistics(np.zeros(n), np.ones(n), stats.degrees, sched, nsched)
-    return ls.limit_variance / r**2
 
 
 def predict_ms_rate(

@@ -29,18 +29,17 @@ from .schedules import (
 )
 
 __all__ = [
-    "Trajectory",
     "LimitStatistics",
     "DivergenceError",
-    "run",
     "run_many",
-    "disagreement",
     "limit_statistics",
     "record_points",
     "BACKEND_NAME",
 ]
 
-BACKEND_NAME = _kernels.BACKEND_NAME
+# Reported in ``report.json``; the name predates the single kernel and is
+# kept so that same-seed artifacts stay byte-identical.
+BACKEND_NAME = "pure"
 DIVERGENCE_LIMIT = 1e12
 
 
@@ -51,40 +50,6 @@ class DivergenceError(RuntimeError):
             "check the step-size/graph pairing"
         )
         self.step_index = step_index
-
-
-@dataclass
-class Trajectory:
-    """Recorded series of one run; states at the steps in ``ks``."""
-
-    ks: np.ndarray
-    v_series: np.ndarray
-    gauge_mean_series: np.ndarray
-    x_series: np.ndarray | None = None
-    y_series: np.ndarray | None = None
-
-    @classmethod
-    def first_run(cls, ks: np.ndarray, res: _kernels.KernelResult) -> Trajectory:
-        """Run 0 of a batch simulated with ``collect_states``; raises if it diverged."""
-        if res.diverged_at[0] >= 0:
-            raise DivergenceError(int(res.diverged_at[0]))
-        return cls(ks, res.v[0], res.gmean[0], res.x_rec, res.y_rec)
-
-    def to_csv(self, path) -> None:
-        n = self.x_series.shape[1] if self.x_series is not None else 0
-        cols = ["k", "V", "gauge_mean"]
-        cols += [f"x_{i + 1}" for i in range(n)]
-        if self.y_series is not None:
-            cols += [f"y_{i + 1}" for i in range(n)]
-        with open(path, "w") as f:
-            f.write(",".join(cols) + "\n")
-            for idx, k in enumerate(self.ks):
-                row = [str(int(k)), repr(float(self.v_series[idx])), repr(float(self.gauge_mean_series[idx]))]
-                if self.x_series is not None:
-                    row += [repr(float(v)) for v in self.x_series[idx]]
-                if self.y_series is not None:
-                    row += [repr(float(v)) for v in self.y_series[idx]]
-                f.write(",".join(row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -116,16 +81,15 @@ def run_many(
     t: int,
     runs: int,
     seed: int = DEFAULT_SEED,
-    first_run: int = 0,
     record_idx: np.ndarray | None = None,
     stride: int = 10,
     collect_states: bool = False,
     collect_y: bool = False,
     tail_start: int | None = None,
 ):
-    """Simulate ``runs`` independent runs; returns (record_idx, KernelResult).
+    """Simulate runs 0, ..., runs - 1; returns (record_idx, KernelResult).
 
-    ``collect_states`` / ``collect_y`` record the states of the first run only.
+    ``collect_states`` / ``collect_y`` record the states of run 0 only.
     """
     if t < 1:
         raise ValueError("horizon must be >= 1")
@@ -149,7 +113,7 @@ def run_many(
         alpha,
         np.zeros(t) if noise_sched is None else noise_sched.scale(ks),
         seed,
-        np.arange(first_run, first_run + runs, dtype=np.int64),
+        np.arange(runs, dtype=np.int64),
         record_idx,
         collect_states=collect_states,
         collect_y=collect_y,
@@ -157,43 +121,6 @@ def run_many(
         limit=DIVERGENCE_LIMIT,
     )
     return record_idx, res
-
-
-def run(
-    x0,
-    graph: SignedGraph,
-    gauge: np.ndarray,
-    sched,
-    noise_sched,
-    t: int,
-    seed: int = DEFAULT_SEED,
-    run_index: int = 0,
-    stride: int = 10,
-    collect_y: bool = False,
-) -> Trajectory:
-    """One seeded run with recorded states; raises on divergence."""
-    ks, res = run_many(
-        x0,
-        graph,
-        gauge,
-        sched,
-        noise_sched,
-        t,
-        runs=1,
-        seed=seed,
-        first_run=run_index,
-        stride=stride,
-        collect_states=True,
-        collect_y=collect_y,
-    )
-    return Trajectory.first_run(ks, res)
-
-
-def disagreement(x: np.ndarray, gauge: np.ndarray) -> float:
-    """V = ||(I - J) S x||^2, the squared deviation from the gauge mean."""
-    z = np.asarray(x, dtype=float) * np.asarray(gauge, dtype=float)
-    dev = z - z.mean()
-    return float(dev @ dev)
 
 
 def _series_sum_and_tail(sched: PowerStep, noise, k_trunc: int) -> tuple[float, float, int]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import engine
 from .graphs import SignedGraph, check_structural_balance, fixture_graph, spectrum
@@ -83,22 +82,6 @@ def schedule_from_dict(d: dict):
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
-def schedule_to_dict(s) -> dict | None:
-    if s is None:
-        return None
-    if isinstance(s, PowerStep):
-        return {"kind": "power", "a1": s.a1, "a2": s.a2, "beta": s.beta}
-    if isinstance(s, PowerNoise):
-        return {"kind": "power", "b_floor": s.b_floor, "gamma": s.gamma, "a2": s.a2, "offset": s.offset}
-    if isinstance(s, GeometricStep):
-        return {"kind": "geometric", "p": s.p}
-    if isinstance(s, GeometricNoise):
-        return {"kind": "geometric", "c": s.c, "q": s.q}
-    if isinstance(s, ConstantNoise):
-        return {"kind": "constant", "b": s.b}
-    raise TypeError(type(s).__name__)
-
-
 @dataclass(frozen=True)
 class BaselineVariant:
     name: str
@@ -119,7 +102,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     stride: int = 10
     allow_unvalidated: bool = False
-    out_dir: str | None = None
     design: dict | None = None
     baselines: tuple[BaselineVariant, ...] = ()
     raw: dict = field(default_factory=dict, compare=False)
@@ -127,6 +109,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.horizon < 1 or self.runs < 1:
             raise ConfigError("horizon and runs must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must satisfy 0 <= seed < 2**64")
+        if self.stride < 1:
+            raise ConfigError("stride must be >= 1")
         if len(self.x0) != self.graph.n:
             raise ConfigError("initial state length does not match graph size")
         if not np.isfinite(np.asarray(self.x0, dtype=float)).all():
@@ -178,7 +164,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             seed=int(doc.get("seed", DEFAULT_SEED)),
             stride=int(doc.get("stride", 10)),
             allow_unvalidated=bool(doc.get("allow_unvalidated", False)),
-            out_dir=doc.get("out_dir"),
             design=doc.get("design"),
             baselines=baselines,
             raw=doc,
@@ -228,16 +213,16 @@ class AggregateReport:
     terminal_gauge_mean: float
     terminal_gauge_var: float
     initial_gauge_mean: float
-    terminal_gauge_means: np.ndarray
     rate: RateFit | None
     diverged: int
     runs: int
-    backend: str
     config_echo: dict = field(default_factory=dict)
 
 
 def estimate_rate(ks, v_mean, window: tuple[float, float]) -> RateFit:
     """OLS of log mean-disagreement on log step over a step-index window."""
+    from scipy.special import stdtrit  # here, so commands without a rate fit skip scipy.special
+
     ks = np.asarray(ks, dtype=float)
     v = np.asarray(v_mean, dtype=float)
     mask = (ks >= window[0]) & (ks <= window[1]) & (ks > 0)
@@ -262,16 +247,8 @@ def estimate_rate(ks, v_mean, window: tuple[float, float]) -> RateFit:
     )
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | None = None,
-    runs: int | None = None,
-    seed: int | None = None,
-) -> AggregateReport:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> AggregateReport:
     """Execute the Monte Carlo batch, optionally writing CSV/JSON artifacts."""
-    runs = cfg.runs if runs is None else runs
-    seed = cfg.seed if seed is None else seed
-    out_dir = cfg.out_dir if out_dir is None else out_dir
     gauge = check_structural_balance(cfg.graph)
     ks, res = engine.run_many(
         cfg.x0,
@@ -280,15 +257,17 @@ def run_experiment(
         cfg.step,
         cfg.noise,
         cfg.horizon,
-        runs,
-        seed=seed,
+        cfg.runs,
+        seed=cfg.seed,
         stride=cfg.stride,
         collect_states=out_dir is not None,
         collect_y=out_dir is not None and cfg.noise is not None,
     )
     diverged = int(np.sum(res.diverged_at >= 0))
-    if diverged > max(1, runs) * 0.01:
-        raise ExperimentDivergence(diverged, runs)
+    if diverged > cfg.runs * 0.01:
+        raise ExperimentDivergence(diverged, cfg.runs)
+    if out_dir is not None and res.diverged_at[0] >= 0:
+        raise engine.DivergenceError(int(res.diverged_at[0]))  # trajectory_000.csv is run 0
     ok = res.diverged_at < 0
     v = res.v[ok]
     terminal = (res.x_final[ok] * gauge).mean(axis=1)
@@ -307,38 +286,33 @@ def run_experiment(
         terminal_gauge_mean=float(terminal.mean()),
         terminal_gauge_var=float(terminal.var(ddof=1)) if len(terminal) > 1 else 0.0,
         initial_gauge_mean=float((np.asarray(cfg.x0) * gauge).mean()),
-        terminal_gauge_means=terminal,
         rate=rate,
         diverged=diverged,
-        runs=runs,
-        backend=engine.BACKEND_NAME,
-        config_echo=dict(cfg.raw) if cfg.raw else _echo(cfg),
+        runs=cfg.runs,
+        config_echo=dict(cfg.raw),
     )
     if out_dir is not None:
-        _write_artifacts(report, engine.Trajectory.first_run(ks, res), out_dir, seed)
+        _write_artifacts(report, res, out_dir, cfg.seed)
     return report
 
 
-def _echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "graph": {"n": cfg.graph.n},
-        "x0": list(map(float, cfg.x0)),
-        "step": schedule_to_dict(cfg.step),
-        "noise": schedule_to_dict(cfg.noise),
-        "horizon": cfg.horizon,
-        "runs": cfg.runs,
-        "seed": cfg.seed,
-        "stride": cfg.stride,
-    }
-
-
-def _write_artifacts(report, traj, out_dir, seed) -> None:
+def _write_artifacts(report, res, out_dir, seed) -> None:
     """report.json, aggregate.csv and trajectory_000.csv (run 0 of the batch)."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    traj.to_csv(os.path.join(out_dir, "trajectory_000.csv"))
+    n = res.x_rec.shape[1]
+    cols = ["k", "V", "gauge_mean"] + [f"x_{i + 1}" for i in range(n)]
+    states = [res.x_rec]
+    if res.y_rec is not None:
+        cols += [f"y_{i + 1}" for i in range(n)]
+        states.append(res.y_rec)
+    with open(os.path.join(out_dir, "trajectory_000.csv"), "w") as f:
+        f.write(",".join(cols) + "\n")
+        for idx, k in enumerate(report.ks):
+            row = [str(int(k)), repr(float(res.v[0, idx])), repr(float(res.gmean[0, idx]))]
+            row += [repr(float(v)) for s in states for v in s[idx]]
+            f.write(",".join(row) + "\n")
     with open(os.path.join(out_dir, "aggregate.csv"), "w") as f:
         f.write("k,v_mean,v_q10,v_q50,v_q90\n")
         for i, k in enumerate(report.ks):
@@ -350,7 +324,7 @@ def _write_artifacts(report, traj, out_dir, seed) -> None:
         "config": report.config_echo,
         "seed": seed,
         "runs": report.runs,
-        "backend": report.backend,
+        "backend": engine.BACKEND_NAME,
         "diverged": report.diverged,
         "initial_gauge_mean": report.initial_gauge_mean,
         "terminal_gauge_mean": report.terminal_gauge_mean,
@@ -396,9 +370,8 @@ def _decile_noise_std(noise, seed, runs, n, t, first: bool) -> float:
     return float(stacked.std())
 
 
-def compare_baselines(cfg: ExperimentConfig, runs: int | None = None) -> list[BaselineVerdict]:
+def compare_baselines(cfg: ExperimentConfig) -> list[BaselineVerdict]:
     """Protocol vs baseline variants: freeze, bias, and noise-liveness checks."""
-    runs = cfg.runs if runs is None else runs
     gauge = check_structural_balance(cfg.graph)
     target = float((np.asarray(cfg.x0) * gauge).mean())
     variants = [BaselineVariant("protocol", cfg.step, cfg.noise)] + list(cfg.baselines)
@@ -407,7 +380,7 @@ def compare_baselines(cfg: ExperimentConfig, runs: int | None = None) -> list[Ba
     tail_start = t - max(t // 10, 1)
     for var in variants:
         _, res = engine.run_many(
-            cfg.x0, cfg.graph, gauge, var.step, var.noise, t, runs,
+            cfg.x0, cfg.graph, gauge, var.step, var.noise, t, cfg.runs,
             seed=cfg.seed, stride=cfg.stride, tail_start=tail_start,
         )
         ok = res.diverged_at < 0
@@ -415,8 +388,8 @@ def compare_baselines(cfg: ExperimentConfig, runs: int | None = None) -> list[Ba
         terminal = (res.x_final[ok] * gauge).mean(axis=1)
         bias = float(terminal.mean() - target)
         stderr = float(terminal.std(ddof=1) / math.sqrt(len(terminal))) if len(terminal) > 1 else 0.0
-        s_first = _decile_noise_std(var.noise, cfg.seed, runs, cfg.graph.n, t, first=True)
-        s_last = _decile_noise_std(var.noise, cfg.seed, runs, cfg.graph.n, t, first=False)
+        s_first = _decile_noise_std(var.noise, cfg.seed, cfg.runs, cfg.graph.n, t, first=True)
+        s_last = _decile_noise_std(var.noise, cfg.seed, cfg.runs, cfg.graph.n, t, first=False)
         out.append(
             BaselineVerdict(
                 name=var.name,

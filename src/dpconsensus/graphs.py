@@ -15,7 +15,6 @@ __all__ = [
     "StructurallyUnbalancedError",
     "check_structural_balance",
     "spectrum",
-    "load_edge_list",
     "parse_edge_list",
     "fixture_graph",
 ]
@@ -85,10 +84,8 @@ class SignedGraph:
 class GraphSpectrum:
     """Laplacian data for a balanced signed graph under a fixed gauge."""
 
-    laplacian: np.ndarray
     gauge_laplacian: np.ndarray
     lambda2: float
-    laplacian_norm: float
     degrees: np.ndarray
     c_min: float = field(init=False)
     c_max: float = field(init=False)
@@ -134,25 +131,16 @@ def check_structural_balance(g: SignedGraph) -> np.ndarray:
 
 
 def spectrum(g: SignedGraph, s: np.ndarray) -> GraphSpectrum:
-    """Laplacian, gauge Laplacian and degree statistics for gauge ``s``."""
+    """Gauge Laplacian, its lambda2 and degree statistics for gauge ``s``."""
     s = np.asarray(s, dtype=float)
     if s.shape != (g.n,) or not np.all(np.abs(s) == 1.0):
         raise ValueError("gauge must be a length-n vector of +-1")
     sw = s[:, None] * g.weights * s[None, :]
     if np.any(sw < 0):
         raise ValueError("not a valid gauge: S A S has negative entries")
-    lap = g.laplacian()
-    lap_s = s[:, None] * lap * s[None, :]
-    eigs = np.linalg.eigvalsh(lap_s)
-    lambda2 = float(eigs[1])
-    lap_norm = float(eigs[-1])  # largest eigenvalue of the PSD gauge Laplacian
-    return GraphSpectrum(
-        laplacian=lap,
-        gauge_laplacian=lap_s,
-        lambda2=lambda2,
-        laplacian_norm=lap_norm,
-        degrees=g.degrees,
-    )
+    lap_s = s[:, None] * g.laplacian() * s[None, :]
+    lambda2 = float(np.linalg.eigvalsh(lap_s)[1])
+    return GraphSpectrum(gauge_laplacian=lap_s, lambda2=lambda2, degrees=g.degrees)
 
 
 def parse_edge_list(text: str) -> SignedGraph:
@@ -172,11 +160,6 @@ def parse_edge_list(text: str) -> SignedGraph:
         nmax = max(nmax, i, j)
         edges.append((i, j, w))
     return SignedGraph.from_edges(nmax, edges)
-
-
-def load_edge_list(path) -> SignedGraph:
-    with open(path) as f:
-        return parse_edge_list(f.read())
 
 
 def fixture_graph(name: str) -> SignedGraph:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "laplace_sample",
     "laplace_matrix",
     "laplace_from_keys",
     "stream_keys",
@@ -59,15 +58,6 @@ def laplace_from_keys(keys: np.ndarray, step, b) -> np.ndarray:
     u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _U53 - 0.5  # on (-1/2, 1/2)
     # Inverse CDF of Lap(0, b); branch-free.
     return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-def laplace_sample(seed: int, run: int, agent: int, step: int, b: float) -> float:
-    """One Lap(0, b) draw for the given stream key."""
-    if b < 0:
-        raise ValueError("scale must be >= 0")
-    if b == 0.0:
-        return 0.0
-    return float(laplace_from_keys(stream_keys(seed, run, agent), step, b))
 
 
 def laplace_matrix(seed: int, runs: np.ndarray, n_agents: int, step: int, b: float) -> np.ndarray:

@@ -25,7 +25,6 @@ from .special import upper_incomplete_gamma
 __all__ = [
     "EpsilonBound",
     "PrivacyReport",
-    "sensitivity",
     "sensitivity_series",
     "epsilon_finite",
     "epsilon_infinity_bound",
@@ -63,20 +62,14 @@ def _check_contraction(sched: PowerStep, c_min: float) -> None:
         )
 
 
-def sensitivity(k: int, sched: PowerStep, c_min: float, delta: float) -> float:
-    """S(k) for a single step index k >= 1."""
-    if k < 1:
-        raise ValueError("step index must be >= 1")
-    if k == 1:
-        return delta
-    ls = np.arange(k - 1)
-    return delta * float(np.prod(1.0 - c_min * sched.a1 / (ls + sched.a2) ** sched.beta))
+def _contraction(sched: PowerStep, c_min: float, ls: np.ndarray) -> np.ndarray:
+    """Per-step sensitivity factors 1 - c_min * alpha(l) at step indices ``ls``."""
+    return 1.0 - c_min * sched.alpha(ls)
 
 
 def sensitivity_series(t: int, sched: PowerStep, c_min: float, delta: float) -> np.ndarray:
     """S(1), ..., S(t) as one array."""
-    ls = np.arange(max(t - 1, 0))
-    factors = 1.0 - c_min * sched.a1 / (ls + sched.a2) ** sched.beta
+    factors = _contraction(sched, c_min, np.arange(max(t - 1, 0)))
     return delta * np.concatenate(([1.0], np.cumprod(factors)))[:t]
 
 
@@ -89,9 +82,7 @@ def epsilon_finite(sched: PowerStep, noise, c_min: float, delta: float, horizon:
     k = 1
     while k <= horizon:
         hi = min(horizon, k + _CHUNK - 1)
-        ls = np.arange(k - 1, hi, dtype=float)
-        factors = 1.0 - c_min * sched.a1 / (ls + sched.a2) ** sched.beta
-        cp = np.cumprod(factors)
+        cp = np.cumprod(_contraction(sched, c_min, np.arange(k - 1, hi, dtype=float)))
         s_vals = delta * running * np.concatenate(([1.0], cp[:-1]))
         b_vals = noise.scale(np.arange(k, hi + 1))
         if np.any(b_vals <= 0.0):

@@ -138,14 +138,6 @@ class AssumptionVerdict:
     satisfies_b: bool
     reason: str
 
-    @property
-    def label(self) -> str:
-        if self.satisfies_b:
-            return "SatisfiesAandB"
-        if self.satisfies_a:
-            return "SatisfiesA"
-        return "Fails"
-
 
 def validate_assumptions(step: PowerStep, noise) -> AssumptionVerdict:
     """Symbolic verdict on the summability conditions for a schedule pair.

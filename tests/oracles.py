@@ -3,6 +3,19 @@
 import numpy as np
 
 from dpconsensus.engine import DIVERGENCE_LIMIT, DivergenceError
+from dpconsensus.noise import laplace_from_keys, stream_keys
+
+
+def laplace_sample(seed: int, run: int, agent: int, step: int, b: float) -> float:
+    """One Lap(0, b) draw for the given stream key."""
+    return float(laplace_from_keys(stream_keys(seed, run, agent), step, b))
+
+
+def disagreement(x: np.ndarray, gauge: np.ndarray) -> float:
+    """V = ||(I - J) S x||^2, the squared deviation from the gauge mean."""
+    z = np.asarray(x, dtype=float) * np.asarray(gauge, dtype=float)
+    dev = z - z.mean()
+    return float(dev @ dev)
 
 
 def apply_update(x: np.ndarray, weights: np.ndarray, alpha_k: float, y: np.ndarray) -> np.ndarray:

@@ -189,7 +189,7 @@ def test_criterion_06_sensitivity_correctness():
         exact = delta * math.prod(
             1.0 - sched.alpha(j) * degrees[i0] for j in range(k - 1)
         )
-        bound = privacy.sensitivity(k, sched, c_min, delta)
+        bound = privacy.sensitivity_series(k, sched, c_min, delta)[-1]
         worst = max(worst, abs(gap - exact) / max(exact, 1e-30))
         assert gap == pytest.approx(exact, rel=1e-12, abs=1e-15)
         assert gap <= bound * (1 + 1e-12)

@@ -6,7 +6,6 @@ import pytest
 from dpconsensus import designer
 from dpconsensus.designer import (
     DesignTarget,
-    achieved_accuracy,
     as_exponent_infimum,
     check_accuracy_design,
     default_grid,
@@ -14,6 +13,7 @@ from dpconsensus.designer import (
     predict_as_rate,
     predict_ms_rate,
 )
+from dpconsensus.engine import limit_statistics
 from dpconsensus.graphs import spectrum
 from dpconsensus.schedules import DivergentSeriesError, PowerNoise, PowerStep
 
@@ -108,10 +108,17 @@ class TestAccuracyCondition:
 
 
 class TestAchievedAccuracy:
+    """Exact-series accuracy s = Var(x*) / r^2 from ``limit_statistics``."""
+
+    @staticmethod
+    def accuracy(sched, noise, stats, r):
+        n = len(stats.degrees)
+        return limit_statistics(np.zeros(n), np.ones(n), stats.degrees, sched, noise).limit_variance / r**2
+
     def test_vanishes_as_radius_grows(self, stats1a):
         sched = PowerStep(0.5, 1.0, 1.0)
         noise = PowerNoise(1.0, 0.1, 1.0, offset=0)
-        small = achieved_accuracy(sched, noise, stats1a, r=1e6)
+        small = self.accuracy(sched, noise, stats1a, r=1e6)
         assert small < 1e-10
 
     def test_unit_radius_known_series(self, stats1a):
@@ -119,14 +126,8 @@ class TestAchievedAccuracy:
         #          = (44/25) * pi^2/6.
         sched = PowerStep(1.0, 1.0, 1.0)
         noise = PowerNoise(1.0, 0.0, 1.0, offset=0)
-        got = achieved_accuracy(sched, noise, stats1a, r=1.0)
+        got = self.accuracy(sched, noise, stats1a, r=1.0)
         assert got == pytest.approx((44.0 / 25.0) * math.pi**2 / 6.0, rel=1e-6)
-
-    def test_radius_guard(self, stats1a):
-        with pytest.raises(ValueError):
-            achieved_accuracy(
-                PowerStep(0.5, 1.0, 1.0), PowerNoise(1.0, 0.1, 1.0, offset=0), stats1a, r=0.0
-            )
 
 
 class TestMsRate:

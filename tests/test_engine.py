@@ -5,14 +5,8 @@ import numpy as np
 import pytest
 
 from dpconsensus import _kernels, engine
-from dpconsensus.engine import (
-    DivergenceError,
-    disagreement,
-    limit_statistics,
-    record_points,
-    run,
-    run_many,
-)
+from dpconsensus.engine import limit_statistics, record_points, run_many
+from dpconsensus.experiments import ExperimentConfig, run_experiment
 from dpconsensus.graphs import SignedGraph, check_structural_balance
 from dpconsensus.noise import DEFAULT_SEED, laplace_matrix
 from dpconsensus.schedules import (
@@ -25,7 +19,7 @@ from dpconsensus.schedules import (
 )
 
 from conftest import random_balanced_graph
-from oracles import apply_update, step
+from oracles import apply_update, disagreement, laplace_sample, step
 
 TWO_PLUS = SignedGraph.from_edges(2, [(1, 2, 1.0)])
 TWO_MINUS = SignedGraph.from_edges(2, [(1, 2, -1.0)])
@@ -85,10 +79,7 @@ def test_gauge_equivariance_exact():
 
 
 def test_kernel_matches_reference_step(fig1a, gauge1a, x0):
-    from dpconsensus.noise import laplace_sample
-
     sched, noise = PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1)
-    tr = run(x0, fig1a, gauge1a, sched, noise, 30, stride=1, run_index=4)
     x = np.array(x0, dtype=float)
     for k in range(30):
         b = noise.scale(k)
@@ -96,22 +87,21 @@ def test_kernel_matches_reference_step(fig1a, gauge1a, x0):
             [laplace_sample(DEFAULT_SEED, 4, a, k, b) for a in range(5)]
         )
         x = step(x, fig1a, sched, noise, k, omega=omega)
-        np.testing.assert_allclose(tr.x_series[k + 1], x, rtol=1e-12, atol=1e-12)
+        _, res = run_many(x0, fig1a, gauge1a, sched, noise, k + 1, 5, record_idx=np.array([0, k + 1]))
+        np.testing.assert_allclose(res.x_final[4], x, rtol=1e-12, atol=1e-12)  # run 4 after k + 1 steps
 
 
 def test_zero_noise_conserves_gauge_sum(fig1a, gauge1a, x0):
-    tr = run(x0, fig1a, gauge1a, PowerStep(0.3, 1, 1), None, 500, stride=1)
-    np.testing.assert_allclose(
-        tr.gauge_mean_series, np.full(len(tr.ks), 3.6), rtol=0, atol=1e-12
-    )
+    ks, res = run_many(x0, fig1a, gauge1a, PowerStep(0.3, 1, 1), None, 500, 1, stride=1)
+    np.testing.assert_allclose(res.gmean[0], np.full(len(ks), 3.6), rtol=0, atol=1e-12)
 
 
 def test_noiseless_star_reaches_average():
     g = SignedGraph.from_edges(5, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0), (1, 5, 1.0)])
     s = check_structural_balance(g)
     x0 = np.array([5.0, -1.0, 2.0, 8.0, -3.0])
-    tr = run(x0, g, s, PowerStep(0.5, 1, 0.6), None, 20_000)
-    np.testing.assert_allclose(tr.x_series[-1], np.full(5, x0.mean()), atol=1e-3)
+    _, res = run_many(x0, g, s, PowerStep(0.5, 1, 0.6), None, 20_000, 1)
+    np.testing.assert_allclose(res.x_final[0], np.full(5, x0.mean()), atol=1e-3)
 
 
 def test_geometric_baseline_freezes(fig1a, gauge1a, x0):
@@ -130,20 +120,21 @@ def test_record_points_structure():
 
 
 def test_run_records_consistent_series(fig1a, gauge1a, x0):
-    tr = run(x0, fig1a, gauge1a, PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 200, collect_y=True)
-    assert tr.v_series[0] == pytest.approx(155.2)
-    assert np.all(tr.v_series >= 0)
-    for idx in (0, len(tr.ks) - 1):
-        assert tr.v_series[idx] == pytest.approx(disagreement(tr.x_series[idx], gauge1a))
-        assert tr.gauge_mean_series[idx] == pytest.approx((gauge1a * tr.x_series[idx]).mean())
-    assert np.isnan(tr.y_series[-1]).all()  # no transmission recorded at k = T
+    sched, noise = PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1)
+    ks, res = run_many(x0, fig1a, gauge1a, sched, noise, 200, 1, collect_states=True, collect_y=True)
+    v = res.v[0]
+    assert v[0] == pytest.approx(155.2)
+    assert np.all(v >= 0)
+    for idx in (0, len(ks) - 1):
+        assert v[idx] == pytest.approx(disagreement(res.x_rec[idx], gauge1a))
+        assert res.gmean[0, idx] == pytest.approx((gauge1a * res.x_rec[idx]).mean())
+    assert np.isnan(res.y_rec[-1]).all()  # no transmission recorded at k = T
 
 
-def test_trajectory_csv(tmp_path, fig1a, gauge1a, x0):
-    tr = run(x0, fig1a, gauge1a, PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 100, collect_y=True)
-    p = tmp_path / "t.csv"
-    tr.to_csv(p)
-    header = p.read_text().splitlines()[0]
+def test_trajectory_csv(tmp_path, fig1a, x0):
+    cfg = ExperimentConfig("t", fig1a, x0, PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 100, 1)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    header = (tmp_path / "trajectory_000.csv").read_text().splitlines()[0]
     assert header == "k,V,gauge_mean," + ",".join(
         [f"x_{i}" for i in range(1, 6)] + [f"y_{i}" for i in range(1, 6)]
     )
@@ -151,9 +142,11 @@ def test_trajectory_csv(tmp_path, fig1a, gauge1a, x0):
 
 def test_divergence_abort(fig1a, gauge1a, x0):
     diverging = PowerStep(50.0, 1.0, 1.0)  # alpha(0)*lambda_max >> 2
-    with pytest.raises(DivergenceError), warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run(x0, fig1a, gauge1a, diverging, None, 100)
+        _, res = run_many(x0, fig1a, gauge1a, diverging, None, 100, 1)
+    assert 0 < res.diverged_at[0] <= 100
+    assert np.isnan(res.x_final[0]).all()
 
 
 def _reference_batch(x0, graph, gauge, sched, noise, t, runs, tail_start):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,6 @@ import pytest
 from dpconsensus import cli, engine, experiments
 from dpconsensus.experiments import (
     ConfigError,
-    ExperimentConfig,
     NonpositiveValuesError,
     config_from_dict,
     estimate_rate,
@@ -19,9 +19,7 @@ from dpconsensus.experiments import (
     named_config,
     run_experiment,
     schedule_from_dict,
-    schedule_to_dict,
 )
-from dpconsensus.graphs import fixture_graph
 from dpconsensus.schedules import (
     ConstantNoise,
     GeometricNoise,
@@ -49,18 +47,23 @@ class TestScheduleCodec:
     @pytest.mark.parametrize(
         "sched",
         [
-            PowerStep(0.3, 1.0, 0.9),
-            PowerNoise(1.5, -0.2, 2.0, offset=1),
-            GeometricStep(0.8),
-            GeometricNoise(1.0, 0.9),
-            ConstantNoise(2.0),
+            ({"kind": "power", "a1": 0.3, "a2": 1.0, "beta": 0.9}, PowerStep(0.3, 1.0, 0.9)),
+            (
+                {"kind": "power", "b_floor": 1.5, "gamma": -0.2, "a2": 2.0, "offset": 1},
+                PowerNoise(1.5, -0.2, 2.0, offset=1),
+            ),
+            ({"kind": "geometric", "p": 0.8}, GeometricStep(0.8)),
+            ({"kind": "geometric", "c": 1.0, "q": 0.9}, GeometricNoise(1.0, 0.9)),
+            ({"kind": "constant", "b": 2.0}, ConstantNoise(2.0)),
         ],
     )
     def test_round_trip(self, sched):
-        assert schedule_from_dict(schedule_to_dict(sched)) == sched
+        # A literal config record decodes to its schedule, whose fields give the record back.
+        doc, want = sched
+        assert schedule_from_dict(doc) == want
+        assert {"kind": doc["kind"], **dataclasses.asdict(want)} == doc
 
     def test_none_round_trip(self):
-        assert schedule_to_dict(None) is None
         assert schedule_from_dict(None) is None
 
     def test_unknown_kind(self):
@@ -183,11 +186,11 @@ class TestRunExperiment:
         gauge = check_structural_balance(cfg.graph)
         vs = []
         for r in range(12):
-            traj = engine.run(
-                cfg.x0, cfg.graph, gauge, cfg.step, cfg.noise, cfg.horizon,
-                seed=cfg.seed, run_index=r, stride=cfg.stride,
+            _, res = engine.run_many(  # run r's draws do not depend on the batch size
+                cfg.x0, cfg.graph, gauge, cfg.step, cfg.noise, cfg.horizon, r + 1,
+                seed=cfg.seed, stride=cfg.stride,
             )
-            vs.append(traj.v_series)
+            vs.append(res.v[r])
         vs = np.array(vs)
         assert np.allclose(rep.v_mean, vs.mean(axis=0), rtol=1e-12, atol=1e-12)
         assert np.allclose(rep.v_q50, np.quantile(vs, 0.5, axis=0), rtol=1e-12)
@@ -216,7 +219,7 @@ class TestRunExperiment:
     def test_seed_override_changes_draws(self):
         cfg = config_from_dict(minimal_doc(runs=4))
         r1 = run_experiment(cfg)
-        r2 = run_experiment(cfg, seed=cfg.seed + 1)
+        r2 = run_experiment(dataclasses.replace(cfg, seed=cfg.seed + 1))
         assert r1.terminal_gauge_mean != r2.terminal_gauge_mean
 
     def test_divergence_aborts(self):
@@ -237,7 +240,7 @@ class TestCompareBaselines:
         cfg = named_config("fig2a")
         return {
             v.name: v
-            for v in experiments.compare_baselines(cfg, runs=40)
+            for v in experiments.compare_baselines(dataclasses.replace(cfg, runs=40))
         }
 
     def test_protocol_noise_alive_and_not_frozen(self, verdicts):
@@ -257,12 +260,13 @@ class TestCompareBaselines:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a cold start; the rate fit does without it.
+    # scipy.stats costs most of a cold start; the rate fit does without it,
+    # and imports scipy.special only when it runs.
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, dpconsensus.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, dpconsensus.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestCli:
@@ -289,8 +293,15 @@ class TestCli:
             ({"graph": {"fixture": "no_such_graph"}}, "no fixture graph named 'no_such_graph'"),
             ({"x0": [10.0, float("nan"), 6.0, -4.0, 2.0]}, "x0 must be finite"),
             ({"x0": [10.0, -8.0, float("inf"), -4.0, 2.0]}, "x0 must be finite"),
+            ({"seed": -1}, "seed must satisfy 0 <= seed < 2**64"),
+            ({"seed": 2**64}, "seed must satisfy 0 <= seed < 2**64"),
+            ({"stride": 0}, "stride must be >= 1"),
+            ({"stride": -5}, "stride must be >= 1"),
         ],
-        ids=["unknown-fixture", "nan-x0", "inf-x0"],
+        ids=[
+            "unknown-fixture", "nan-x0", "inf-x0",
+            "negative-seed", "seed-2**64", "zero-stride", "negative-stride",
+        ],
     )
     def test_simulate_bad_config_fails_fast(self, tmp_path, capsys, over, message):
         p = tmp_path / "bad.json"
@@ -300,6 +311,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert err.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--runs", "0"], "horizon and runs must be >= 1"),
+            (["--seed", "-1"], "seed must satisfy 0 <= seed < 2**64"),
+        ],
+        ids=["zero-runs", "negative-seed"],
+    )
+    def test_simulate_bad_override_fails_fast(self, capsys, flags, message):
+        rc = cli.main(["simulate", "--config", "fig2a", *flags])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("mode", ["report", "sweep"])
+    def test_privacy_bad_delta_fails_fast(self, capsys, mode, delta):
+        rc = cli.main(["privacy", mode, "--config", "sec4_text", "--delta", delta])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: delta must be finite and > 0") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["simulate"], ["rates"]])
     def test_unbalanced_graph_is_config_error(self, tmp_path, capsys, command):

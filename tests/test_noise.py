@@ -10,9 +10,10 @@ from dpconsensus.noise import (
     DEFAULT_SEED,
     laplace_from_keys,
     laplace_matrix,
-    laplace_sample,
     stream_keys,
 )
+
+from oracles import laplace_sample
 
 
 def _bulk(seed, n, b=1.0, run=0, agent=0):

@@ -50,41 +50,37 @@ class TestAccountingProperties:
     @settings(max_examples=60, deadline=None, database=None)
     @given(setup=accounting_setups(), t=st.integers(1, 500), data=st.data())
     def test_sensitivity_matches_series(self, setup, t, data):
+        # S(k) alone, as the last entry of a length-k series, is the series' k-th entry.
         sched, _, c_min, delta = setup
         k = data.draw(st.integers(1, t))
         series = privacy.sensitivity_series(t, sched, c_min, delta)
-        assert privacy.sensitivity(k, sched, c_min, delta) == series[k - 1]
+        assert privacy.sensitivity_series(k, sched, c_min, delta)[-1] == series[k - 1]
 
 
 class TestSensitivity:
     def test_first_step_is_delta(self):
         sched = PowerStep(0.3, 1.0, 1.0)
-        assert privacy.sensitivity(1, sched, c_min=2.0, delta=1.0) == 1.0
-        assert privacy.sensitivity(1, sched, c_min=2.0, delta=0.5) == 0.5
+        assert privacy.sensitivity_series(1, sched, c_min=2.0, delta=1.0)[-1] == 1.0
+        assert privacy.sensitivity_series(1, sched, c_min=2.0, delta=0.5)[-1] == 0.5
 
     def test_hand_computed_product(self):
         # a1=0.3, a2=1, beta=1, c_min=2: factors (1-0.6), (1-0.3)
         sched = PowerStep(0.3, 1.0, 1.0)
-        got = privacy.sensitivity(3, sched, c_min=2.0, delta=1.0)
+        got = privacy.sensitivity_series(3, sched, c_min=2.0, delta=1.0)[-1]
         assert got == pytest.approx(0.4 * 0.7, rel=1e-14)
 
     def test_series_matches_scalar(self):
         sched = PowerStep(0.2, 2.0, 0.8)
         series = privacy.sensitivity_series(50, sched, c_min=1.5, delta=2.0)
         for k in (1, 2, 10, 50):
-            assert series[k - 1] == pytest.approx(
-                privacy.sensitivity(k, sched, c_min=1.5, delta=2.0), rel=1e-13
-            )
+            scalar = 2.0 * math.prod(1.0 - 1.5 * sched.alpha(l) for l in range(k - 1))
+            assert series[k - 1] == pytest.approx(scalar, rel=1e-13)
 
     def test_monotone_decreasing_when_contractive(self):
         sched = PowerStep(0.4, 1.0, 1.0)
         series = privacy.sensitivity_series(200, sched, c_min=1.0, delta=1.0)
         assert np.all(np.diff(series) < 0)
         assert np.all(series > 0)
-
-    def test_invalid_step_index(self):
-        with pytest.raises(ValueError):
-            privacy.sensitivity(0, PowerStep(0.3, 1.0, 1.0), 1.0, 1.0)
 
     def test_matches_coupled_trajectory_gap(self):
         # Two runs with identical shared observations y: the state gap obeys
@@ -109,13 +105,14 @@ class TestSensitivity:
         x_a = rng.normal(size=5)
         x_b = x_a.copy()
         x_b[agent] += delta
+        series = privacy.sensitivity_series(13, sched, c_min, delta)
         for k in range(12):
             y = x_a + rng.laplace(scale=1.0, size=5)  # shared observations
             alpha_k = sched.alpha(k)
             x_a = apply_update(x_a, weights, alpha_k, y)
             x_b = apply_update(x_b, weights, alpha_k, y)
             gap = abs(x_b[agent] - x_a[agent])
-            expect = privacy.sensitivity(k + 2, sched, c_min, delta)
+            expect = series[k + 1]  # S(k + 2)
             assert gap == pytest.approx(expect, rel=1e-12)
             # other agents never diverge: they see the same observations
             others = np.delete(np.abs(x_b - x_a), agent)
@@ -139,10 +136,8 @@ class TestEpsilonFinite:
         sched = PowerStep(0.3, 1.0, 1.0)
         noise = offset1_noise(1.5, -0.2, 1.0)
         c_min, delta, t = 2.0, 1.3, 500
-        naive = sum(
-            privacy.sensitivity(k, sched, c_min, delta) / noise.scale(k)
-            for k in range(1, t + 1)
-        )
+        series = privacy.sensitivity_series(t, sched, c_min, delta)
+        naive = sum(series[k - 1] / noise.scale(k) for k in range(1, t + 1))
         got = privacy.epsilon_finite(sched, noise, c_min, delta, t)
         assert got == pytest.approx(naive, rel=1e-12)
 

@@ -86,16 +86,16 @@ def test_geometric_step_baseline_only():
 
 def test_validate_assumptions_verdicts():
     good = validate_assumptions(PowerStep(1, 1, 1.0), PowerNoise(1, 0.1, 1, 1))
-    assert good.label == "SatisfiesAandB"
+    assert (good.satisfies_a, good.satisfies_b) == (True, True)
     a_only = validate_assumptions(PowerStep(1, 1, 0.4), PowerNoise(1, -0.2, 1, 0))
-    assert a_only.label == "SatisfiesA"
+    assert (a_only.satisfies_a, a_only.satisfies_b) == (True, False)
     assert "alpha^2" in a_only.reason
     bad = validate_assumptions(PowerStep(1, 1, 1.0), PowerNoise(1, 0.6, 1, 0))
-    assert bad.label == "Fails"
+    assert (bad.satisfies_a, bad.satisfies_b) == (False, False)
     geo = validate_assumptions(PowerStep(1, 1, 0.9), GeometricNoise(1, 0.9))
-    assert geo.label == "SatisfiesAandB"
+    assert (geo.satisfies_a, geo.satisfies_b) == (True, True)
     const_bad = validate_assumptions(PowerStep(1, 1, 0.5), ConstantNoise(1))
-    assert const_bad.label == "Fails"
+    assert (const_bad.satisfies_a, const_bad.satisfies_b) == (False, False)
 
 
 def test_sum_bound_direct_values():
