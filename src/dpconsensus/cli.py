@@ -73,8 +73,7 @@ def _privacy_schedules(cfg, args):
         print("note: noise schedule coerced to the offset-1 convention for accounting")
     delta = args.delta
     if delta is None:
-        delta = (cfg.design or {}).get("delta", 1.0)
-    delta = float(delta)
+        delta = cfg.design.delta if cfg.design else 1.0
     if not (math.isfinite(delta) and delta > 0):
         raise experiments.ConfigError(f"delta must be finite and > 0, got {delta:g}")
     return cfg.step, noise, delta
@@ -111,10 +110,9 @@ def _cmd_design(args) -> int:
     cfg = _load(args.config)
     if not cfg.design:
         raise experiments.ConfigError("config carries no design targets")
-    target = designer.DesignTarget(**cfg.design)
-    result = designer.design_search(target, _stats(cfg))
+    result = designer.design_search(cfg.design, _stats(cfg))
     doc = {
-        "targets": cfg.design,
+        "targets": cfg.raw["design"],
         "feasible": [vars(p) for p in result.points],
         "failure_counts": result.failure_counts,
         "reason": result.reason,

@@ -45,7 +45,7 @@ class DesignTarget:
     def __post_init__(self):
         if not 0.0 <= self.s_star <= 1.0:
             raise ValueError("s_star must lie in [0, 1]")
-        if self.r_star <= 0 or self.epsilon_star <= 0 or self.delta <= 0:
+        if not (self.r_star > 0 and self.epsilon_star > 0 and self.delta > 0):
             raise ValueError("r_star, epsilon_star, delta must be positive")
 
 

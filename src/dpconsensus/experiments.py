@@ -9,6 +9,7 @@ gives byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from importlib import resources
 import numpy as np
 
 from . import engine
+from .designer import DesignTarget
 from .graphs import SignedGraph, check_structural_balance, fixture_graph, spectrum
 from .noise import DEFAULT_SEED, laplace_matrix
 from .schedules import (
@@ -102,7 +104,7 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     stride: int = 10
     allow_unvalidated: bool = False
-    design: dict | None = None
+    design: DesignTarget | None = None
     baselines: tuple[BaselineVariant, ...] = ()
     raw: dict = field(default_factory=dict, compare=False)
 
@@ -142,6 +144,18 @@ def _graph_from_dict(d: dict) -> SignedGraph:
     return SignedGraph.from_edges(int(d["n"]), edges)
 
 
+def _design_from_dict(d: dict | None) -> DesignTarget | None:
+    if not d:
+        return None
+    keys = [f.name for f in dataclasses.fields(DesignTarget)]
+    if sorted(d) != sorted(keys):
+        raise ConfigError(f"design block needs exactly the keys {', '.join(keys)}")
+    try:
+        return DesignTarget(**{k: float(d[k]) for k in keys})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"design block: {exc}") from exc
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     try:
         baselines = tuple(
@@ -164,7 +178,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             seed=int(doc.get("seed", DEFAULT_SEED)),
             stride=int(doc.get("stride", 10)),
             allow_unvalidated=bool(doc.get("allow_unvalidated", False)),
-            design=doc.get("design"),
+            design=_design_from_dict(doc.get("design")),
             baselines=baselines,
             raw=doc,
         )

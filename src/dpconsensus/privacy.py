@@ -15,12 +15,13 @@ the offset-1 power noise ``b(k) = b_floor * (k + a2 - 1)^gamma`` sharing
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .schedules import PowerNoise, PowerStep
-from .special import upper_incomplete_gamma
+from .special import log_scaled_upper_gamma, upper_incomplete_gamma
 
 __all__ = [
     "EpsilonBound",
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -73,26 +75,64 @@ def sensitivity_series(t: int, sched: PowerStep, c_min: float, delta: float) -> 
     return delta * np.concatenate(([1.0], np.cumprod(factors)))[:t]
 
 
-def epsilon_finite(sched: PowerStep, noise, c_min: float, delta: float, horizon: int) -> float:
-    """Privacy loss sum_{k=1}^T S(k)/b(k), streamed in chunks."""
-    if horizon < 1:
+def _epsilon_at(sched: PowerStep, noise, c_min: float, delta: float, horizons) -> tuple[float, ...]:
+    """Privacy loss at every horizon from one pass up to the largest.
+
+    Steps go in chunks of ``_CHUNK``; each chunk's quotients S(k)/b(k) are
+    built in one reused buffer, ``_BLOCK`` steps at a time, with the
+    cumulative product of contraction factors carried from block to block.
+    A horizon's loss is the running total of whole chunks plus one sum over
+    its own chunk's prefix, so it equals a separate pass to that horizon
+    bit for bit: same products, same summation grouping, the same
+    ``b <= 0`` rule and the same early stop once S(k) underflows.
+    """
+    hs = [int(h) for h in horizons]
+    if any(h < 1 for h in hs):
         raise ValueError("horizon must be >= 1")
+    pending = sorted(set(hs))
+    found: dict[int, float] = {}
+    q = np.empty(min(_CHUNK, max(hs, default=0)))
     total = 0.0
     running = 1.0  # prod of contraction factors consumed so far
+    rest = math.inf  # the loss at horizons the pass never reaches
     k = 1
-    while k <= horizon:
-        hi = min(horizon, k + _CHUNK - 1)
-        cp = np.cumprod(_contraction(sched, c_min, np.arange(k - 1, hi, dtype=float)))
-        s_vals = delta * running * np.concatenate(([1.0], cp[:-1]))
-        b_vals = noise.scale(np.arange(k, hi + 1))
-        if np.any(b_vals <= 0.0):
-            return math.inf
-        total += float(np.sum(s_vals / b_vals))
-        running *= float(cp[-1])
-        if abs(running) < 1e-300:
+    while pending:
+        n = min(pending[-1] - k + 1, _CHUNK)  # this chunk holds steps k .. k + n - 1
+        scale = delta * running
+        prev = 1.0  # cumulative product of this chunk's factors before the block
+        valid = n  # quotients before the first b(k) <= 0
+        for a in range(0, n, _BLOCK):
+            e = min(a + _BLOCK, n)
+            cp = _contraction(sched, c_min, np.arange(k - 1 + a, k - 1 + e, dtype=float))
+            cp[0] *= prev
+            np.cumprod(cp, out=cp)
+            q[a] = scale * prev
+            np.multiply(cp[:-1], scale, out=q[a + 1 : e])
+            prev = cp[-1]
+            b_vals = noise.scale(np.arange(k + a, k + e))
+            bad = b_vals <= 0.0
+            if bad.any():
+                valid = a + int(bad.argmax())
+                q[a:valid] /= b_vals[: valid - a]
+                break
+            q[a:e] /= b_vals
+        while pending and pending[0] < k + n:
+            h = pending.pop(0)
+            found[h] = total + float(np.sum(q[: h - k + 1])) if h - k < valid else math.inf
+        if valid < n:
             break
-        k = hi + 1
-    return total
+        total += float(np.sum(q[:n]))
+        running *= float(prev)
+        if abs(running) < 1e-300:
+            rest = total
+            break
+        k += n
+    return tuple(found.get(h, rest) for h in hs)
+
+
+def epsilon_finite(sched: PowerStep, noise, c_min: float, delta: float, horizon: int) -> float:
+    """Privacy loss sum_{k=1}^T S(k)/b(k), streamed in chunks."""
+    return _epsilon_at(sched, noise, c_min, delta, (horizon,))[0]
 
 
 def _require_shared_power_noise(sched: PowerStep, noise) -> PowerNoise:
@@ -114,13 +154,16 @@ def epsilon_infinity_bound(
     Four convergent branches: beta = 1 with nonnegative / negative gamma
     (both needing a1*c_min + gamma > 1), and beta < 1 with nonnegative /
     negative gamma via the upper incomplete gamma function.  Where the
-    beta < 1 form overflows (beta near 1) the case is "overflow": no finite
-    bound, ``convergent`` False.
+    beta < 1 form leaves the float range (beta near 1) it is evaluated in
+    log space; only a bound beyond the float range is case "overflow": no
+    finite bound, ``convergent`` False.
     """
     noise = _require_shared_power_noise(sched, noise)
     _check_contraction(sched, c_min)
     a2, beta, gamma = sched.a2, sched.beta, noise.gamma
     bf = noise.b_floor
+    if bf == 0.0:  # no noise: the first step alone leaks without bound
+        return EpsilonBound(math.inf, "divergent", False)
     acm = sched.a1 * c_min
     first = delta / (bf * a2**gamma)  # delta / b(1)
 
@@ -143,33 +186,52 @@ def epsilon_infinity_bound(
         rest = delta * (1 + a2) ** acm / bf * (head + num2 / den2)
         return EpsilonBound(first + rest, "case2", True)
 
-    # beta < 1: always convergent under the contraction check, but e^z and
-    # Gamma(shape) leave the float range as beta -> 1.
+    # beta < 1: always convergent under the contraction check, but e^z,
+    # c^-shape and Gamma(shape, z) leave the float range as beta -> 1.  Then
+    # rest is taken in log space, where Lentz's h = e^z z^-shape Gamma(shape, z)
+    # cancels e^z; it is "overflow" only when the bound itself exceeds it.
     shape = (1 - gamma) / (1 - beta)
     z = acm * a2 ** (1 - beta) / (1 - beta)
+    c = acm / (1 - beta)
     try:
         pre = delta * math.exp(z) / (bf * (1 - beta))
-        rest = pre * (acm / (1 - beta)) ** (-shape) * upper_incomplete_gamma(shape, z)
+        power = c ** (-shape)
+        rest = pre * power * upper_incomplete_gamma(shape, z)
+    except OverflowError:
+        power = 0.0
+    # Below the normal range, c^-shape has lost digits (or all of rest).
+    log_space = power < sys.float_info.min
+    try:
+        if log_space:
+            rest = math.exp(
+                math.log(delta / (bf * (1 - beta)))
+                + shape * math.log(z / c)
+                + log_scaled_upper_gamma(shape, z)
+            )
+        if gamma >= 0.0:
+            return EpsilonBound(first + rest, "case3", True)
+        # Negative gamma: the summand peaks in the interior, so one extra term
+        # bounds the sum-vs-integral gap around the peak -- but only when the
+        # peak sits at step index >= 2.
+        try:
+            x_peak = (-gamma / acm) ** (-1.0 / beta)
+        except OverflowError:  # gamma -> 0-: the peak recedes to infinity and its term to 0
+            x_peak = math.inf
+        if x_peak - a2 + 1 >= 2:
+            if log_space:
+                log_peak = math.log(delta / bf) + gamma / beta * math.log(-gamma / acm)
+                peak = math.exp(log_peak + (z + gamma / (1 - beta) * x_peak))
+            else:
+                peak = (
+                    delta
+                    * math.exp(z)
+                    / bf
+                    * (-gamma / acm) ** (gamma / beta)
+                    * math.exp(gamma / (1 - beta) * x_peak)
+                )
+            rest += peak
     except OverflowError:
         return EpsilonBound(math.inf, "overflow", False)
-    if gamma >= 0.0:
-        return EpsilonBound(first + rest, "case3", True)
-    # Negative gamma: the summand peaks in the interior, so one extra term
-    # bounds the sum-vs-integral gap around the peak -- but only when the
-    # peak sits at step index >= 2.
-    try:
-        x_peak = (-gamma / acm) ** (-1.0 / beta)
-    except OverflowError:  # gamma -> 0-: the peak recedes to infinity and its term to 0
-        x_peak = math.inf
-    if x_peak - a2 + 1 >= 2:
-        peak = (
-            delta
-            * math.exp(z)
-            / bf
-            * (-gamma / acm) ** (gamma / beta)
-            * math.exp(gamma / (1 - beta) * x_peak)
-        )
-        rest += peak
     return EpsilonBound(first + rest, "case4", True)
 
 
@@ -188,12 +250,12 @@ def privacy_report(
     delta: float,
     horizons: tuple[int, ...] = (100, 10_000, 1_000_000, 10_000_000),
 ) -> PrivacyReport:
-    """Finite-horizon losses at several horizons plus the limiting bound."""
+    """Finite-horizon losses at several horizons, from one pass, plus the limiting bound."""
     try:
         inf_bound = epsilon_infinity_bound(sched, noise, c_min, delta)
     except ValueError:
         inf_bound = EpsilonBound(math.nan, "no-case-applies", False)
-    eps = tuple(epsilon_finite(sched, noise, c_min, delta, h) for h in horizons)
+    eps = _epsilon_at(sched, noise, c_min, delta, horizons)
     return PrivacyReport(
         horizons=tuple(int(h) for h in horizons),
         epsilon_at=eps,

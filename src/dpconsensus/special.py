@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["upper_incomplete_gamma"]
+__all__ = ["upper_incomplete_gamma", "log_scaled_upper_gamma"]
 
 _MAX_ITER = 10_000
 _EPS = 1e-15
@@ -28,8 +28,8 @@ def _lower_series(a: float, z: float) -> float:
     return math.exp(log_p)
 
 
-def _upper_cf(a: float, z: float) -> float:
-    """Regularized upper gamma Q(a, z) via Lentz's continued fraction."""
+def _lentz(a: float, z: float) -> float:
+    """h = e^z * z^-a * Gamma(a, z) via Lentz's continued fraction; z >= a + 1."""
     tiny = 1e-300
     b = z + 1.0 - a
     c = 1.0 / tiny
@@ -49,16 +49,25 @@ def _upper_cf(a: float, z: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    log_q = math.log(h) + a * math.log(z) - z - math.lgamma(a)
+    return h
+
+
+def _upper_cf(a: float, z: float) -> float:
+    """Regularized upper gamma Q(a, z) via Lentz's continued fraction."""
+    log_q = math.log(_lentz(a, z)) + a * math.log(z) - z - math.lgamma(a)
     return math.exp(log_q)
 
 
-def upper_incomplete_gamma(a: float, z: float) -> float:
-    """Gamma(a, z) = integral_z^inf t^(a-1) e^(-t) dt for a > 0, z >= 0."""
+def _check_domain(a: float, z: float) -> None:
     if a <= 0.0:
         raise ValueError("shape parameter must be positive")
     if z < 0.0:
         raise ValueError("lower limit must be nonnegative")
+
+
+def upper_incomplete_gamma(a: float, z: float) -> float:
+    """Gamma(a, z) = integral_z^inf t^(a-1) e^(-t) dt for a > 0, z >= 0."""
+    _check_domain(a, z)
     if z == 0.0:
         return math.gamma(a)
     if z < a + 1.0:
@@ -69,3 +78,18 @@ def upper_incomplete_gamma(a: float, z: float) -> float:
     if q <= 0.0:
         return 0.0
     return math.exp(math.log(q) + math.lgamma(a))
+
+
+def log_scaled_upper_gamma(a: float, z: float) -> float:
+    """log(e^z * z^-a * Gamma(a, z)) for a > 0, z > 0.
+
+    Finite where e^z and Gamma(a, z) themselves leave the float range: in
+    Lentz's form the scaled value is the continued fraction h itself.
+    """
+    _check_domain(a, z)
+    if z >= a + 1.0:
+        return math.log(_lentz(a, z))
+    q = 1.0 - _lower_series(a, z)
+    if q <= 0.0:
+        return -math.inf
+    return math.log(q) + math.lgamma(a) + z - a * math.log(z)

@@ -1,9 +1,12 @@
-"""Scalar reference forms of the consensus update, used only as test oracles."""
+"""Reference forms of the consensus update and the privacy loss, used only as test oracles."""
+
+import math
 
 import numpy as np
 
 from dpconsensus.engine import DIVERGENCE_LIMIT, DivergenceError
 from dpconsensus.noise import laplace_from_keys, stream_keys
+from dpconsensus.privacy import _CHUNK
 
 
 def laplace_sample(seed: int, run: int, agent: int, step: int, b: float) -> float:
@@ -42,3 +45,25 @@ def step(x, graph, sched, noise_sched, k: int, omega: np.ndarray | None = None) 
     if not np.all(np.isfinite(out)) or np.abs(out).max() > DIVERGENCE_LIMIT:
         raise DivergenceError(k + 1)
     return out
+
+
+def epsilon_finite_chunked(sched, noise, c_min: float, delta: float, horizon: int) -> float:
+    """Privacy loss sum_{k=1}^T S(k)/b(k) in whole-chunk arrays, one horizon per pass."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    total = 0.0
+    running = 1.0  # prod of contraction factors consumed so far
+    k = 1
+    while k <= horizon:
+        hi = min(horizon, k + _CHUNK - 1)
+        cp = np.cumprod(1.0 - c_min * sched.alpha(np.arange(k - 1, hi, dtype=float)))
+        s_vals = delta * running * np.concatenate(([1.0], cp[:-1]))
+        b_vals = noise.scale(np.arange(k, hi + 1))
+        if np.any(b_vals <= 0.0):
+            return math.inf
+        total += float(np.sum(s_vals / b_vals))
+        running *= float(cp[-1])
+        if abs(running) < 1e-300:
+            break
+        k = hi + 1
+    return total

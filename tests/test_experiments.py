@@ -334,6 +334,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: delta must be finite and > 0") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, over, message",
+        [
+            (["design"], {"delta": "abc"}, "design block: could not convert string to float: 'abc'"),
+            (["design"], {"r_star": None}, "design block needs exactly the keys"),
+            (["design"], {"r_star": float("nan")}, "design block: r_star, epsilon_star, delta must be positive"),
+            (["privacy", "report"], {"delta": "abc"}, "design block: could not convert string to float: 'abc'"),
+        ],
+        ids=["design-text-delta", "design-no-r_star", "design-nan-r_star", "report-text-delta"],
+    )
+    def test_bad_design_block_fails_fast(self, tmp_path, capsys, command, over, message):
+        design = {"s_star": 0.59, "r_star": 9, "epsilon_star": 2.5, "delta": 1, **over}
+        design = {k: v for k, v in design.items() if v is not None}
+        p = tmp_path / "bad_design.json"
+        p.write_text(json.dumps(minimal_doc(design=design)))
+        rc = cli.main([*command, "--config", str(p)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [["simulate"], ["rates"]])
     def test_unbalanced_graph_is_config_error(self, tmp_path, capsys, command):
         triangle = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, -1.0]]}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dpconsensus import privacy
 from dpconsensus.schedules import ConstantNoise, PowerNoise, PowerStep
 
-from oracles import apply_update
+from oracles import apply_update, epsilon_finite_chunked
 
 
 def offset1_noise(b_floor, gamma, a2):
@@ -55,6 +55,70 @@ class TestAccountingProperties:
         k = data.draw(st.integers(1, t))
         series = privacy.sensitivity_series(t, sched, c_min, delta)
         assert privacy.sensitivity_series(k, sched, c_min, delta)[-1] == series[k - 1]
+
+
+# Horizons on either side of block and chunk boundaries, or anywhere in the first two chunks.
+_EDGES = (1, privacy._BLOCK, 2 * privacy._BLOCK, privacy._CHUNK, 2 * privacy._CHUNK)
+_HORIZON = st.one_of(
+    st.builds(lambda edge, d: max(1, edge + d), st.sampled_from(_EDGES), st.integers(-2, 2)),
+    st.builds(lambda chunk, off: chunk * privacy._CHUNK + off, st.integers(0, 1), st.integers(1, privacy._CHUNK)),
+)
+
+
+class _ZeroAt:
+    """b(k) = 1 except b(k0) = 0: no noise at one step in mid-stream."""
+
+    def __init__(self, k0):
+        self.k0 = k0
+
+    def scale(self, k):
+        return np.where(np.asarray(k) == self.k0, 0.0, 1.0)
+
+
+class TestStreamedAccounting:
+    """One pass to the largest horizon equals a chunked pass per horizon, bit for bit."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        setup=accounting_setups(),
+        offset=st.sampled_from([0, 1]),
+        hs=st.lists(_HORIZON, min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_report_and_finite_equal_chunked_oracle(self, setup, offset, hs, data):
+        sched, noise, c_min, delta = setup
+        noise = PowerNoise(noise.b_floor, noise.gamma, noise.a2, offset=offset)
+        hs = data.draw(st.permutations(hs + hs[:1]))  # unsorted, with a repeat
+        expected = [epsilon_finite_chunked(sched, noise, c_min, delta, h) for h in hs]
+        rep = privacy.privacy_report(sched, noise, c_min, delta, horizons=hs)
+        assert list(rep.epsilon_at) == expected
+        assert [privacy.epsilon_finite(sched, noise, c_min, delta, h) for h in hs] == expected
+
+    @pytest.mark.parametrize(
+        "noise, finite",
+        [(offset1_noise(0.0, 0.1, 1.0), 0), (_ZeroAt(privacy._CHUNK + 5), 3)],
+        ids=["b_floor-0", "zero-mid-stream"],
+    )
+    def test_zero_scale_is_infinite_from_its_step_on(self, noise, finite):
+        sched = PowerStep(0.3, 1.0, 1.0)
+        hs = (privacy._BLOCK + 1, 1, privacy._CHUNK + 4, privacy._CHUNK + 5, 3 * privacy._CHUNK)
+        rep = privacy.privacy_report(sched, noise, 1.0, 1.0, horizons=hs)
+        expected = [epsilon_finite_chunked(sched, noise, 1.0, 1.0, h) for h in hs]
+        assert list(rep.epsilon_at) == expected
+        assert sum(map(math.isfinite, expected)) == finite
+        assert not rep.infinity.convergent
+        assert [privacy.epsilon_finite(sched, noise, 1.0, 1.0, h) for h in hs] == expected
+
+    def test_early_stop_once_sensitivity_underflows(self):
+        # At beta = 1/2, S(k) ~ exp(-sqrt(k)) drops below 1e-300 inside the
+        # first chunk, so every longer horizon stops there.
+        sched = PowerStep(0.5, 1.0, 0.5)
+        noise = offset1_noise(1.0, 0.5, 1.0)
+        hs = (10_000_000, 1000, 3 * privacy._CHUNK + 17, privacy._CHUNK + 1)
+        rep = privacy.privacy_report(sched, noise, 1.0, 1.0, horizons=hs)
+        expected = [epsilon_finite_chunked(sched, noise, 1.0, 1.0, h) for h in hs]
+        assert list(rep.epsilon_at) == expected
+        assert expected[0] == expected[2] == expected[3] > expected[1]
 
 
 class TestSensitivity:
@@ -171,6 +235,19 @@ class TestEpsilonFinite:
         assert long == pytest.approx(short, rel=1e-12)
 
 
+def _bound_50_digits(a1, a2, beta, gamma):
+    """The beta < 1 closed form at b_floor = c_min = delta = 1, in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a1, a2, beta, gamma = map(mpmath.mpf, (a1, a2, beta, gamma))
+        shape, z = (1 - gamma) / (1 - beta), a1 * a2 ** (1 - beta) / (1 - beta)
+        rest = mpmath.exp(z) / (1 - beta) * (a1 / (1 - beta)) ** -shape * mpmath.gammainc(shape, z)
+        x_peak = (-gamma / a1) ** (-1 / beta) if gamma < 0 else 0
+        if x_peak - a2 + 1 >= 2:
+            rest += mpmath.exp(z) * (-gamma / a1) ** (gamma / beta) * mpmath.exp(gamma / (1 - beta) * x_peak)
+        return float(a2**-gamma + rest)
+
+
 class TestEpsilonInfinity:
     def test_case1_tag_and_dominates_finite(self):
         sched = PowerStep(0.95, 1.0, 1.0)
@@ -226,7 +303,8 @@ class TestEpsilonInfinity:
         assert minus.value == pytest.approx(plus.value, rel=0.05)
 
     def test_float_range_edges(self):
-        # Near beta = 1, e^z and Gamma(shape) overflow: no finite bound, no crash.
+        # Near beta = 1 with a1*c_min + gamma < 1 the bound itself (about
+        # 1e8391 here) leaves the float range: no finite bound, no crash.
         near_one = privacy.epsilon_infinity_bound(
             PowerStep(0.5, 1.0, 0.99999), offset1_noise(1.0, 0.0, 1.0), 1.0, 1.0
         )
@@ -237,6 +315,28 @@ class TestEpsilonInfinity:
         tiny = privacy.epsilon_infinity_bound(sched, offset1_noise(1.0, -1e-300, 1.0), 1.0, 1.0)
         flat = privacy.epsilon_infinity_bound(sched, offset1_noise(1.0, 0.0, 1.0), 1.0, 1.0)
         assert tiny.case == "case4" and tiny.value == pytest.approx(flat.value, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.999, 0.9999, 0.99999])
+    @pytest.mark.parametrize(
+        "a1, a2, gamma, case", [(0.9, 1.0, 0.6, "case3"), (2.9, 3.0, -0.3, "case4")]
+    )
+    def test_near_one_matches_50_digit_oracle(self, a1, a2, gamma, case, beta):
+        # e^z overflows for these beta; the bound itself is a few units.
+        # (z/shape >= 2 keeps mpmath's 2F0 series for gammainc convergent.)
+        bound = privacy.epsilon_infinity_bound(
+            PowerStep(a1, a2, beta), offset1_noise(1.0, gamma, a2), 1.0, 1.0
+        )
+        assert bound.case == case and bound.convergent
+        assert bound.value == pytest.approx(_bound_50_digits(a1, a2, beta, gamma), rel=1e-10)
+
+    def test_underflowing_power_keeps_the_integral_term(self):
+        # c^-shape = 390^-125 underflows to 0; that dropped the integral term
+        # and left a "bound" below the loss at T = 1e6.
+        sched, noise = PowerStep(3.9, 4.0, 0.99), offset1_noise(1.0, -0.25, 4.0)
+        bound = privacy.epsilon_infinity_bound(sched, noise, 1.0, 1.0)
+        assert bound.case == "case4"
+        assert bound.value == pytest.approx(_bound_50_digits(3.9, 4.0, 0.99, -0.25), rel=1e-10)
+        assert bound.value > privacy.epsilon_finite(sched, noise, 1.0, 1.0, 1_000_000)
 
     def test_contraction_guard(self):
         sched = PowerStep(1.0, 1.0, 1.0)

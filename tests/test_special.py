@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy import special as ssp
 
-from dpconsensus.special import upper_incomplete_gamma
+from dpconsensus.special import log_scaled_upper_gamma, upper_incomplete_gamma
 
 
 def test_exponential_identity():
@@ -52,3 +52,22 @@ def test_domain_errors():
         upper_incomplete_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         upper_incomplete_gamma(1.0, -0.5)
+
+
+def test_log_scaled_matches_direct_form():
+    # log(e^z z^-a Gamma(a, z)) where the direct form stays in range, on both branches.
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a = rng.uniform(0.05, 30.0)
+        z = rng.uniform(0.01, 60.0)
+        direct = math.log(math.exp(z) * z**-a * upper_incomplete_gamma(a, z))
+        assert log_scaled_upper_gamma(a, z) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, z", [(7e4, 1.5e5), (7e3, 2e4), (300.0, 100.0)])
+def test_log_scaled_beyond_float_range(a, z):
+    # e^z and Gamma(a, z) overflow here; their scaled product does not.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ref = mpmath.log(mpmath.exp(z) * mpmath.power(z, -a) * mpmath.gammainc(a, z))
+        assert log_scaled_upper_gamma(a, z) == pytest.approx(float(ref), rel=1e-12)
