@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import designer, experiments, privacy
 from .engine import BACKEND_NAME, DivergenceError
 from .graphs import StructurallyUnbalancedError, check_structural_balance, spectrum
@@ -93,8 +91,7 @@ def _cmd_privacy(args) -> int:
         print(f"epsilon(inf) bound = {b.value:.6g}  [{b.case}, {tag}]")
     else:  # sweep over gamma
         print("gamma   epsilon_inf_bound   case        ms_exponent")
-        for g in np.arange(-0.5, sched.beta - 0.51 + 1e-12, 0.1):
-            g = round(float(g), 10)
+        for g in designer._gammas_for(sched.beta, {}):
             n = PowerNoise(noise.b_floor, g, sched.a2, offset=1)
             try:
                 b = privacy.epsilon_infinity_bound(sched, n, stats.c_min, delta)

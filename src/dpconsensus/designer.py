@@ -171,7 +171,7 @@ def default_grid() -> dict:
 def _gammas_for(beta: float, grid: dict) -> list[float]:
     if grid.get("gamma") is not None:
         return [g for g in grid["gamma"] if g < beta - 0.5]
-    return [round(g, 10) for g in np.arange(-0.5, beta - 0.51 + 1e-12, 0.1)]
+    return [round(float(g), 10) for g in np.arange(-0.5, beta - 0.51 + 1e-12, 0.1)]
 
 
 def design_search(

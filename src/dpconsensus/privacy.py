@@ -15,13 +15,12 @@ the offset-1 power noise ``b(k) = b_floor * (k + a2 - 1)^gamma`` sharing
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .schedules import PowerNoise, PowerStep
-from .special import log_scaled_upper_gamma, upper_incomplete_gamma
+from .special import log_scaled_upper_gamma
 
 __all__ = [
     "EpsilonBound",
@@ -151,12 +150,11 @@ def epsilon_infinity_bound(
 ) -> EpsilonBound:
     """Closed-form upper bound on sup_T of the privacy loss.
 
-    Four convergent branches: beta = 1 with nonnegative / negative gamma
-    (both needing a1*c_min + gamma > 1), and beta < 1 with nonnegative /
-    negative gamma via the upper incomplete gamma function.  Where the
-    beta < 1 form leaves the float range (beta near 1) it is evaluated in
-    log space; only a bound beyond the float range is case "overflow": no
-    finite bound, ``convergent`` False.
+    Four convergent branches: beta = 1 (or a1*c_min = 0) with nonnegative /
+    negative gamma (both needing a1*c_min + gamma > 1), and beta < 1 with
+    nonnegative / negative gamma via the upper incomplete gamma function,
+    always evaluated in log space.  Only a bound beyond the float range is
+    case "overflow": no finite bound, ``convergent`` False.
     """
     noise = _require_shared_power_noise(sched, noise)
     _check_contraction(sched, c_min)
@@ -167,7 +165,9 @@ def epsilon_infinity_bound(
     acm = sched.a1 * c_min
     first = delta / (bf * a2**gamma)  # delta / b(1)
 
-    if beta == 1.0:
+    # With acm = 0 the step never contracts the sensitivity, beta plays no
+    # part, and the beta = 1 forms are exact.
+    if beta == 1.0 or acm == 0.0:
         if acm + gamma <= 1.0:
             return EpsilonBound(math.inf, "divergent", False)
         if gamma >= 0.0:
@@ -186,28 +186,20 @@ def epsilon_infinity_bound(
         rest = delta * (1 + a2) ** acm / bf * (head + num2 / den2)
         return EpsilonBound(first + rest, "case2", True)
 
-    # beta < 1: always convergent under the contraction check, but e^z,
-    # c^-shape and Gamma(shape, z) leave the float range as beta -> 1.  Then
-    # rest is taken in log space, where Lentz's h = e^z z^-shape Gamma(shape, z)
-    # cancels e^z; it is "overflow" only when the bound itself exceeds it.
+    # beta < 1: always convergent under the contraction check.  The closed
+    # form is e^z c^-shape Gamma(shape, z) with c = acm / (1 - beta); e^z and
+    # Gamma leave the float range as beta -> 1, so rest is taken in log space,
+    # where Lentz's h = e^z z^-shape Gamma(shape, z) cancels e^z and
+    # (z/c)^shape = a2^(1 - gamma).  Only a bound beyond the float range is
+    # "overflow".
     shape = (1 - gamma) / (1 - beta)
     z = acm * a2 ** (1 - beta) / (1 - beta)
-    c = acm / (1 - beta)
     try:
-        pre = delta * math.exp(z) / (bf * (1 - beta))
-        power = c ** (-shape)
-        rest = pre * power * upper_incomplete_gamma(shape, z)
-    except OverflowError:
-        power = 0.0
-    # Below the normal range, c^-shape has lost digits (or all of rest).
-    log_space = power < sys.float_info.min
-    try:
-        if log_space:
-            rest = math.exp(
-                math.log(delta / (bf * (1 - beta)))
-                + shape * math.log(z / c)
-                + log_scaled_upper_gamma(shape, z)
-            )
+        rest = math.exp(
+            math.log(delta / (bf * (1 - beta)))
+            + (1 - gamma) * math.log(a2)
+            + log_scaled_upper_gamma(shape, z)
+        )
         if gamma >= 0.0:
             return EpsilonBound(first + rest, "case3", True)
         # Negative gamma: the summand peaks in the interior, so one extra term
@@ -218,18 +210,8 @@ def epsilon_infinity_bound(
         except OverflowError:  # gamma -> 0-: the peak recedes to infinity and its term to 0
             x_peak = math.inf
         if x_peak - a2 + 1 >= 2:
-            if log_space:
-                log_peak = math.log(delta / bf) + gamma / beta * math.log(-gamma / acm)
-                peak = math.exp(log_peak + (z + gamma / (1 - beta) * x_peak))
-            else:
-                peak = (
-                    delta
-                    * math.exp(z)
-                    / bf
-                    * (-gamma / acm) ** (gamma / beta)
-                    * math.exp(gamma / (1 - beta) * x_peak)
-                )
-            rest += peak
+            log_peak = math.log(delta / bf) + gamma / beta * math.log(-gamma / acm)
+            rest += math.exp(log_peak + (z + gamma / (1 - beta) * x_peak))
     except OverflowError:
         return EpsilonBound(math.inf, "overflow", False)
     return EpsilonBound(first + rest, "case4", True)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from dpconsensus import check_structural_balance, fixture_graph, spectrum
+from dpconsensus.special import log_scaled_upper_gamma
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py and
 # echoed after the run (pytest captures ordinary stdout even for passing tests).
@@ -49,3 +52,8 @@ def random_balanced_graph(rng, n):
             mag = rng.uniform(0.5, 2.0)
             w[i, j] = w[j, i] = s[i] * s[j] * mag
     return w, s
+
+
+def upper_incomplete_gamma(a, z):
+    """Gamma(a, z) for a > 0, z > 0, unscaled from the log-scaled routine."""
+    return math.exp(log_scaled_upper_gamma(a, z) + a * math.log(z) - z)

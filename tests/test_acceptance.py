@@ -24,10 +24,9 @@ from dpconsensus.schedules import (
     PowerStep,
     step_product_bound,
 )
-from dpconsensus.special import upper_incomplete_gamma
 
 import conftest
-from conftest import random_balanced_graph
+from conftest import random_balanced_graph, upper_incomplete_gamma
 from oracles import apply_update
 
 X0 = np.array([10.0, -8.0, 6.0, -4.0, 2.0])

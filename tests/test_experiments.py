@@ -433,6 +433,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "gamma" in out and "ms_exponent" in out
 
+    @pytest.mark.parametrize("mode", ["report", "sweep"])
+    def test_privacy_without_contraction(self, tmp_path, capsys, mode):
+        # a1 = 0 with beta < 1: the sensitivity never contracts, so the bound diverges.
+        p = tmp_path / "a1_zero.json"
+        p.write_text(json.dumps(minimal_doc(step={"kind": "power", "a1": 0, "a2": 1, "beta": 0.8})))
+        rc = cli.main(["privacy", mode, "--config", str(p)])
+        assert rc == cli.EXIT_OK
+        assert "divergent" in capsys.readouterr().out
+
     def test_design_feasible(self, capsys):
         rc = cli.main(["design", "--config", "sec4_text"])
         assert rc == cli.EXIT_OK

@@ -329,6 +329,39 @@ class TestEpsilonInfinity:
         assert bound.case == case and bound.convergent
         assert bound.value == pytest.approx(_bound_50_digits(a1, a2, beta, gamma), rel=1e-10)
 
+    def test_random_sublinear_points_match_50_digit_oracle(self):
+        # beta uniform over [0.51, 0.9999], so mostly away from 1; the corner
+        # near 1, where mpmath's gammainc is slow, is the parametrized test above.
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(300):
+            beta = rng.uniform(0.51, 0.9999)
+            a2 = rng.uniform(1.0, 4.0)
+            a1 = rng.uniform(0.05, 0.95) * a2**beta
+            gamma = rng.uniform(-1.0, 0.95)
+            bound = privacy.epsilon_infinity_bound(
+                PowerStep(a1, a2, beta), offset1_noise(1.0, gamma, a2), 1.0, 1.0
+            )
+            ref = _bound_50_digits(a1, a2, beta, gamma)
+            if bound.case == "overflow":
+                assert math.isinf(ref)
+                continue
+            assert bound.case == ("case3" if gamma >= 0 else "case4")
+            assert bound.value == pytest.approx(ref, rel=1e-10)
+            checked += 1
+        assert checked >= 200
+
+    def test_no_contraction_takes_the_beta_one_forms(self):
+        # a1 = 0: S(k) = delta for all k, so beta plays no part and the loss
+        # is a plain p-series in gamma.
+        sched = PowerStep(0.0, 1.0, 0.8)
+        divergent = privacy.epsilon_infinity_bound(sched, offset1_noise(1.0, 0.1, 1.0), 1.0, 1.0)
+        assert divergent.case == "divergent" and math.isinf(divergent.value)
+        noise = offset1_noise(1.0, 1.5, 1.0)
+        bound = privacy.epsilon_infinity_bound(sched, noise, 1.0, 1.0)
+        assert bound.case == "case1" and bound.convergent
+        assert bound.value >= privacy.epsilon_finite(sched, noise, 1.0, 1.0, 1_000_000)
+
     def test_underflowing_power_keeps_the_integral_term(self):
         # c^-shape = 390^-125 underflows to 0; that dropped the integral term
         # and left a "bound" below the loss at T = 1e6.
