@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from . import designer, experiments, privacy
@@ -26,12 +25,6 @@ EXIT_INFEASIBLE = 3
 EXIT_CONFIG = 4
 
 
-def _load(path: str) -> experiments.ExperimentConfig:
-    if os.path.exists(path):
-        return experiments.load_config(path)
-    return experiments.named_config(path)
-
-
 def _stats(cfg):
     gauge = check_structural_balance(cfg.graph)
     return spectrum(cfg.graph, gauge)
@@ -40,7 +33,7 @@ def _stats(cfg):
 def _cmd_simulate(args) -> int:
     # Overrides pass the same checks as config values.
     over = {k: v for k, v in (("runs", args.runs), ("seed", args.seed)) if v is not None}
-    cfg = dataclasses.replace(_load(args.config), **over)
+    cfg = dataclasses.replace(experiments.load_config(args.config), **over)
     report = experiments.run_experiment(cfg, out_dir=args.out)
     print(f"config           : {cfg.name}")
     print(f"backend          : {BACKEND_NAME}")
@@ -78,7 +71,7 @@ def _privacy_schedules(cfg, args):
 
 
 def _cmd_privacy(args) -> int:
-    cfg = _load(args.config)
+    cfg = experiments.load_config(args.config)
     sched, noise, delta = _privacy_schedules(cfg, args)
     stats = _stats(cfg)
     if args.mode == "report":
@@ -104,7 +97,7 @@ def _cmd_privacy(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    cfg = _load(args.config)
+    cfg = experiments.load_config(args.config)
     if not cfg.design:
         raise experiments.ConfigError("config carries no design targets")
     result = designer.design_search(cfg.design, _stats(cfg))
@@ -129,7 +122,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    cfg = _load(args.config)
+    cfg = experiments.load_config(args.config)
     if not isinstance(cfg.step, PowerStep):
         raise experiments.ConfigError("rate prediction needs a power step schedule")
     gamma = getattr(cfg.noise, "gamma", 0.0) if cfg.noise is not None else 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -62,34 +63,49 @@ class NonpositiveValuesError(ValueError):
     """A rate window contains nonpositive disagreement estimates."""
 
 
-def schedule_from_dict(d: dict):
-    if d is None:
+# The class of a schedule block, by its role (its place in the document) and its kind.
+_SCHEDULE_KINDS = {
+    "step": {"power": PowerStep, "geometric": GeometricStep},
+    "noise": {"power": PowerNoise, "geometric": GeometricNoise, "constant": ConstantNoise},
+}
+
+
+def schedule_from_dict(d: dict | None, role: str):
+    """The ``role`` ("step" or "noise") schedule a config block describes."""
+    if d is None and role == "noise":
         return None
-    kind = d.get("kind")
-    if kind == "power":
-        if "a1" in d:
-            return PowerStep(float(d["a1"]), float(d["a2"]), float(d["beta"]))
-        return PowerNoise(
-            float(d["b_floor"]),
-            float(d["gamma"]),
-            float(d.get("a2", 0.0)),
-            int(d.get("offset", 0)),
-        )
-    if kind == "geometric":
-        if "p" in d:
-            return GeometricStep(float(d["p"]))
-        return GeometricNoise(float(d["c"]), float(d["q"]))
-    if kind == "constant":
-        return ConstantNoise(float(d["b"]))
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+    if not isinstance(d, dict):
+        raise ConfigError(f"{role} block must be a JSON object")
+    kinds, kind = _SCHEDULE_KINDS[role], d.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {role} schedule kind {kind!r} (one of {', '.join(kinds)})")
+    return _build(kinds[kind], {k: v for k, v in d.items() if k != "kind"}, f"{kind} {role} block")
+
+
+def _assumption_gate(step, noise, allow_unvalidated: bool, label: str = "") -> None:
+    """The convergence-assumption check every configured schedule pair passes unless it opts out."""
+    if allow_unvalidated:
+        return
+    if not isinstance(step, PowerStep):
+        raise ConfigError(f"{label}non-power step schedules require allow_unvalidated")
+    if noise is not None:
+        verdict = validate_assumptions(step, noise)
+        if not verdict.satisfies_a:
+            raise ConfigError(
+                f"{label}schedule pair fails the convergence assumptions ({verdict.reason}); "
+                "set allow_unvalidated to run it anyway"
+            )
 
 
 @dataclass(frozen=True)
 class BaselineVariant:
     name: str
     step: object
-    noise: object
+    noise: object = None
     allow_unvalidated: bool = False
+
+    def __post_init__(self):
+        _assumption_gate(self.step, self.noise, self.allow_unvalidated, f"baseline {self.name!r}: ")
 
 
 @dataclass(frozen=True)
@@ -115,26 +131,16 @@ class ExperimentConfig:
             raise ConfigError("seed must satisfy 0 <= seed < 2**64")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
-        if len(self.x0) != self.graph.n:
-            raise ConfigError("initial state length does not match graph size")
+        if np.shape(self.x0) != (self.graph.n,):
+            raise ConfigError(f"initial state x0 must be a flat list of length n = {self.graph.n}")
         if not np.isfinite(np.asarray(self.x0, dtype=float)).all():
             raise ConfigError("initial state x0 must be finite")
-        if (
-            isinstance(self.step, PowerStep)
-            and self.noise is not None
-            and not self.allow_unvalidated
-        ):
-            verdict = validate_assumptions(self.step, self.noise)
-            if not verdict.satisfies_a:
-                raise ConfigError(
-                    f"schedule pair fails the convergence assumptions ({verdict.reason}); "
-                    "set allow_unvalidated to run it anyway"
-                )
-        if not isinstance(self.step, PowerStep) and not self.allow_unvalidated:
-            raise ConfigError("non-power step schedules require allow_unvalidated")
+        _assumption_gate(self.step, self.noise, self.allow_unvalidated)
 
 
 def _graph_from_dict(d: dict) -> SignedGraph:
+    if not isinstance(d, dict) or set(d) not in ({"fixture"}, {"n", "edges"}):
+        raise ConfigError("graph block needs exactly the key fixture, or the keys n and edges")
     if "fixture" in d:
         try:
             return fixture_graph(d["fixture"])
@@ -144,67 +150,68 @@ def _graph_from_dict(d: dict) -> SignedGraph:
     return SignedGraph.from_edges(int(d["n"]), edges)
 
 
-def _design_from_dict(d: dict | None) -> DesignTarget | None:
-    if not d:
-        return None
-    keys = [f.name for f in dataclasses.fields(DesignTarget)]
-    if sorted(d) != sorted(keys):
-        raise ConfigError(f"design block needs exactly the keys {', '.join(keys)}")
+# A field's JSON value to its value: by name where the field is a block, else by annotation.
+_CASTS = {
+    "graph": _graph_from_dict,
+    "x0": lambda v: np.asarray(v, dtype=float),
+    "step": lambda d: schedule_from_dict(d, "step"),
+    "noise": lambda d: schedule_from_dict(d, "noise"),
+    "design": lambda d: None if d is None else _build(DesignTarget, d, "design block"),
+    "baselines": lambda bs: tuple(_build(BaselineVariant, b, "baseline") for b in bs),
+    "float": float, "int": int, "bool": bool, "str": str,
+}
+
+
+def _build(cls, block, label: str, defaults=(), **given):
+    """``cls`` from a JSON object whose keys are exactly ``cls``'s fields less ``given``.
+
+    A field without a default in ``cls`` or ``defaults`` must be present.  Errors
+    name ``label``, the block's place in the document (empty for the document).
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{label or 'config'} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in given}
+    optional = {n for n, f in fields.items() if n in defaults or f.default is not f.default_factory}
+    block = {**dict(defaults), **block}
+    if not fields.keys() - optional <= block.keys() <= fields.keys():
+        keys = ", ".join(f"[{n}]" if n in optional else n for n in fields)
+        raise ConfigError(f"{label or 'config'} needs exactly the keys {keys}")
     try:
-        return DesignTarget(**{k: float(d[k]) for k in keys})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"design block: {exc}") from exc
+        return cls(**given, **{k: (_CASTS.get(k) or _CASTS[fields[k].type])(v) for k, v in block.items()})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{label}: {exc}" if label else str(exc)) from exc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    try:
-        baselines = tuple(
-            BaselineVariant(
-                name=b["name"],
-                step=schedule_from_dict(b["step"]),
-                noise=schedule_from_dict(b.get("noise")),
-                allow_unvalidated=bool(b.get("allow_unvalidated", False)),
-            )
-            for b in doc.get("baselines", [])
-        )
-        return ExperimentConfig(
-            name=doc.get("name", "experiment"),
-            graph=_graph_from_dict(doc["graph"]),
-            x0=np.asarray(doc["x0"], dtype=float),
-            step=schedule_from_dict(doc["step"]),
-            noise=schedule_from_dict(doc.get("noise")),
-            horizon=int(doc["horizon"]),
-            runs=int(doc.get("runs", 1)),
-            seed=int(doc.get("seed", DEFAULT_SEED)),
-            stride=int(doc.get("stride", 10)),
-            allow_unvalidated=bool(doc.get("allow_unvalidated", False)),
-            design=_design_from_dict(doc.get("design")),
-            baselines=baselines,
-            raw=doc,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return _build(ExperimentConfig, doc, "", {"name": "experiment", "noise": None, "runs": 1}, raw=doc)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(ref: str) -> ExperimentConfig:
+    """A config from a JSON file, or the shipped config of that name if no such file exists."""
+    if not os.path.exists(ref):
+        return named_config(ref)
     try:
-        with open(path) as f:
+        with open(ref) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {ref}: {exc}") from exc
     return config_from_dict(doc)
 
 
+# Shipped names served by another shipped file under their own name.
+_ALIASES = {"fig2_caption": "fig2a"}
+
+
 def named_config(name: str) -> ExperimentConfig:
-    """A config shipped with the package (fig2a, fig3a, sec4_text)."""
-    ref = resources.files("dpconsensus") / "fixtures" / f"{name}.json"
+    """A config shipped with the package (fig2a, fig2_caption, fig3a, sec4_text)."""
+    ref = resources.files("dpconsensus") / "fixtures" / f"{_ALIASES.get(name, name)}.json"
     try:
         doc = json.loads(ref.read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"no shipped config named {name!r}") from exc
-    return config_from_dict(doc)
+    return config_from_dict({**doc, "name": name})
 
 
 @dataclass
@@ -388,7 +395,7 @@ def compare_baselines(cfg: ExperimentConfig) -> list[BaselineVerdict]:
     """Protocol vs baseline variants: freeze, bias, and noise-liveness checks."""
     gauge = check_structural_balance(cfg.graph)
     target = float((np.asarray(cfg.x0) * gauge).mean())
-    variants = [BaselineVariant("protocol", cfg.step, cfg.noise)] + list(cfg.baselines)
+    variants = [BaselineVariant("protocol", cfg.step, cfg.noise, cfg.allow_unvalidated), *cfg.baselines]
     out = []
     t = cfg.horizon
     tail_start = t - max(t // 10, 1)

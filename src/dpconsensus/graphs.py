@@ -75,6 +75,8 @@ class SignedGraph:
         for i, j, wt in edges:
             if i == j:
                 raise ValueError(f"self-loop on agent {i}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"edge ({i},{j}) has an endpoint outside 1..{n}")
             w[i - 1, j - 1] = wt
             w[j - 1, i - 1] = wt
         return cls(w)

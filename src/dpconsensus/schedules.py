@@ -46,10 +46,10 @@ class PowerStep:
     beta: float
 
     def __post_init__(self):
-        if self.a1 < 0:
-            raise ValueError("a1 must be >= 0")
-        if self.a2 < 0:
-            raise ValueError("a2 must be >= 0")
+        if not 0 <= self.a1 < math.inf:
+            raise ValueError("a1 must be finite and >= 0")
+        if not 0 <= self.a2 < math.inf:
+            raise ValueError("a2 must be finite and >= 0")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
 
@@ -86,12 +86,14 @@ class PowerNoise:
     offset: int = 0
 
     def __post_init__(self):
-        if self.b_floor < 0:
-            raise ValueError("b_floor must be >= 0")
+        if not 0 <= self.b_floor < math.inf:
+            raise ValueError("b_floor must be finite and >= 0")
+        if not math.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
         if self.offset not in (0, 1):
             raise ValueError("offset must be 0 or 1")
-        if self.a2 < 0:
-            raise ValueError("a2 must be >= 0")
+        if not 0 <= self.a2 < math.inf:
+            raise ValueError("a2 must be finite and >= 0")
 
     def scale(self, k):
         base = np.asarray(k) + self.a2 - self.offset
@@ -109,8 +111,8 @@ class GeometricNoise:
     q: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be finite and > 0")
         if not 0 < self.q < 1:
             raise ValueError("q must lie in (0, 1)")
 
@@ -123,8 +125,8 @@ class ConstantNoise:
     b: float
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("b must be > 0")
+        if not 0 < self.b < math.inf:
+            raise ValueError("b must be finite and > 0")
 
     def scale(self, k):
         return np.full(np.shape(k), self.b, dtype=float) if np.ndim(k) else self.b

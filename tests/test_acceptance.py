@@ -8,6 +8,7 @@ mean-square bound (``designer.predict_ms_rate``), and it cannot fall below
 the noise floor k^(2*gamma - beta) that any faithful simulation keeps.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -18,8 +19,6 @@ from scipy import integrate
 from dpconsensus import designer, engine, experiments, privacy, schedules
 from dpconsensus.graphs import check_structural_balance, fixture_graph, spectrum
 from dpconsensus.schedules import (
-    GeometricNoise,
-    GeometricStep,
     PowerNoise,
     PowerStep,
     step_product_bound,
@@ -299,36 +298,13 @@ def test_criterion_09_design_pipeline(fig1a, gauge):
     assert ok
 
 
-def test_criterion_10_baseline_contrast(fig1a, gauge):
-    t = 1000
-    base_step = GeometricStep(0.8)
-    base_noise = GeometricNoise(1.0, 0.9)
-    proto_noise = PowerNoise(1.0, 0.1, 1.0, offset=1)
+def test_criterion_10_baseline_contrast():
     good = 0
     for s in range(10):
-        seed = SEED + 100 + s
-        _, res = engine.run_many(
-            X0, fig1a, gauge, base_step, base_noise, t, 20,
-            seed=seed, record_idx=np.array([0, t]), tail_start=t - t // 10,
-        )
-        froze = float(res.max_tail_delta.max()) < 1e-9
-        from dpconsensus.noise import laplace_matrix
-
-        runs_idx = np.arange(20)
-
-        def decile_std(noise, lo, hi, seed=seed):
-            samples = [
-                laplace_matrix(
-                    seed, runs_idx, fig1a.n, k, noise.scale(k)
-                ).ravel()
-                for k in range(lo, hi)
-            ]
-            return float(np.concatenate(samples).std())
-
-        base_last = decile_std(base_noise, t - t // 10, t)
-        proto_first = decile_std(proto_noise, 0, t // 10)
-        proto_last = decile_std(proto_noise, t - t // 10, t)
-        if froze and base_last < 1e-4 and proto_last > proto_first:
+        cfg = dataclasses.replace(experiments.named_config("fig2a"), runs=20, seed=SEED + 100 + s)
+        verdicts = {v.name: v for v in experiments.compare_baselines(cfg)}
+        base = verdicts["geometric"]
+        if base.froze and base.noise_std_last < 1e-4 and verdicts["protocol"].noise_alive:
             good += 1
     ok = good == 10
     _line(10, "baseline-contrast", ok, f"{good}/10 seeds show freeze vs live noise")

@@ -1,4 +1,8 @@
+import contextlib
+import copy
 import dataclasses
+import functools
+import io
 import json
 import math
 import os
@@ -8,8 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpconsensus import cli, engine, experiments
+from dpconsensus.graphs import fixture_graph
 from dpconsensus.experiments import (
     ConfigError,
     NonpositiveValuesError,
@@ -47,28 +54,29 @@ class TestScheduleCodec:
     @pytest.mark.parametrize(
         "sched",
         [
-            ({"kind": "power", "a1": 0.3, "a2": 1.0, "beta": 0.9}, PowerStep(0.3, 1.0, 0.9)),
+            ({"kind": "power", "a1": 0.3, "a2": 1.0, "beta": 0.9}, "step", PowerStep(0.3, 1.0, 0.9)),
             (
                 {"kind": "power", "b_floor": 1.5, "gamma": -0.2, "a2": 2.0, "offset": 1},
+                "noise",
                 PowerNoise(1.5, -0.2, 2.0, offset=1),
             ),
-            ({"kind": "geometric", "p": 0.8}, GeometricStep(0.8)),
-            ({"kind": "geometric", "c": 1.0, "q": 0.9}, GeometricNoise(1.0, 0.9)),
-            ({"kind": "constant", "b": 2.0}, ConstantNoise(2.0)),
+            ({"kind": "geometric", "p": 0.8}, "step", GeometricStep(0.8)),
+            ({"kind": "geometric", "c": 1.0, "q": 0.9}, "noise", GeometricNoise(1.0, 0.9)),
+            ({"kind": "constant", "b": 2.0}, "noise", ConstantNoise(2.0)),
         ],
     )
     def test_round_trip(self, sched):
         # A literal config record decodes to its schedule, whose fields give the record back.
-        doc, want = sched
-        assert schedule_from_dict(doc) == want
+        doc, role, want = sched
+        assert schedule_from_dict(doc, role) == want
         assert {"kind": doc["kind"], **dataclasses.asdict(want)} == doc
 
     def test_none_round_trip(self):
-        assert schedule_from_dict(None) is None
+        assert schedule_from_dict(None, "noise") is None
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            schedule_from_dict({"kind": "spline"})
+            schedule_from_dict({"kind": "spline"}, "step")
 
 
 class TestConfig:
@@ -375,6 +383,89 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: weights must be finite\n"
 
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            (
+                ["simulate"],
+                minimal_doc(noise={"kind": "geometric", "p": 0.8}, allow_unvalidated=True),
+                "geometric noise block needs exactly the keys c, q",
+            ),
+            (
+                ["simulate"],
+                minimal_doc(step={"kind": "power", "a2": 1.0, "beta": 1.0}),
+                "power step block needs exactly the keys a1, a2, beta",
+            ),
+            (
+                ["simulate"],
+                minimal_doc(noise={"kind": "power", "b_floor": 1.0, "gamma": 0.1, "a2": 1.0, "ofset": 1}),
+                "power noise block needs exactly the keys b_floor, gamma, [a2], [offset]",
+            ),
+            (
+                ["simulate"],
+                minimal_doc(step={"kind": "power", "a1": 0.3, "a2": 1.0, "beta": 1.0, "gamma": 5}),
+                "power step block needs exactly the keys a1, a2, beta",
+            ),
+            (
+                ["simulate"],
+                minimal_doc(baselines=[{
+                    "name": "hot",
+                    "step": {"kind": "power", "a1": 0.3, "a2": 1.0, "beta": 1.0},
+                    "noise": {"kind": "power", "b_floor": 1.0, "gamma": 0.9, "a2": 1.0, "offset": 1},
+                    "allow_unvalidated": False,
+                }]),
+                "baseline 'hot': schedule pair fails the convergence assumptions",
+            ),
+            (["rates"], [1, 2], "config must be a JSON object"),
+            (["rates"], minimal_doc(graph=[1, 2]), "graph block needs exactly"),
+            (["rates"], minimal_doc(baselines=["geometric"]), "baseline must be a JSON object"),
+            (
+                ["simulate"],
+                minimal_doc(graph={"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}, x0=[1.0, 2.0, 3.0]),
+                "edge (0,1) has an endpoint outside 1..3",
+            ),
+            (
+                ["simulate"],
+                minimal_doc(graph={"n": 3, "edges": [[1, 4, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}, x0=[1.0, 2.0, 3.0]),
+                "edge (1,4) has an endpoint outside 1..3",
+            ),
+            (["simulate"], minimal_doc(x0=[[10.0], [-8.0], [6.0], [-4.0], [2.0]]), "flat list of length n = 5"),
+            (
+                ["privacy", "sweep"],
+                minimal_doc(step={"kind": "power", "a1": 0.3, "a2": math.inf, "beta": 1.0}),
+                "power step block: a2 must be finite and >= 0",
+            ),
+            *(
+                (["rates"], minimal_doc(**{key: math.inf}), "cannot convert float infinity to integer")
+                for key in ("horizon", "runs", "stride", "seed")
+            ),
+            (
+                ["rates"],
+                minimal_doc(noise={"kind": "power", "b_floor": 1.0, "gamma": 0.1, "a2": 1.0, "offset": math.inf}),
+                "power noise block: cannot convert float infinity to integer",
+            ),
+        ],
+        ids=[
+            "geometric-step-as-noise", "step-without-a1", "noise-typo-key", "step-extra-key",
+            "baseline-fails-gate", "list-document", "list-graph", "string-baseline",
+            "endpoint-0", "endpoint-n+1", "column-x0", "inf-step-a2",
+            "inf-horizon", "inf-runs", "inf-stride", "inf-seed", "inf-offset",
+        ],
+    )
+    def test_input_outside_the_schema_is_config_error(self, tmp_path, capsys, command, doc, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))  # json writes math.inf as Infinity, which loads as 1e999 does
+        rc = cli.main([*command, "--config", str(p)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_alias_serves_its_target_under_its_own_name(self):
+        alias = named_config("fig2_caption")
+        assert alias.name == "fig2_caption"
+        assert alias.raw == {**named_config("fig2a").raw, "name": "fig2_caption"}
+
     def test_simulate_divergence_exit(self, tmp_path, capsys):
         doc = minimal_doc(
             step={"kind": "power", "a1": 50.0, "a2": 1.0, "beta": 1.0},
@@ -468,3 +559,63 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mean-square" in out and "almost-sure" in out
         assert "infimum exponent" in out  # beta < 1 path
+
+
+SHIPPED = ("fig2a", "fig2_caption", "fig3a", "sec4_text")
+OTHER_TYPES = ("x", [1], {"a": 1}, None, True)
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+@functools.cache
+def shipped_doc(name):
+    return named_config(name).raw
+
+
+def json_slots(node):
+    """Every (container, key) pair below a JSON value, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield node, key
+        yield from json_slots(value)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with exactly one change."""
+    doc = copy.deepcopy(shipped_doc(draw(st.sampled_from(SHIPPED))))
+    how = draw(st.sampled_from(["drop", "add", "swap", "nonfinite", "endpoint", "wrap"]))
+    slots = list(json_slots(doc))
+    if how == "wrap":
+        return [doc]
+    if how == "endpoint":  # the fixture graph, inline, with one endpoint out of 1..n
+        w = fixture_graph(doc["graph"]["fixture"]).weights
+        edges = [[int(i) + 1, int(j) + 1, float(w[i, j])] for i, j in zip(*np.nonzero(np.triu(w)))]
+        doc["graph"] = {"n": len(w), "edges": edges}
+        draw(st.sampled_from(edges))[draw(st.integers(0, 1))] = draw(st.sampled_from([0, -1, len(w) + 1]))
+    elif how == "add":
+        draw(st.sampled_from([doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]))["extra"] = 1
+    elif how == "drop":
+        container, key = draw(st.sampled_from([(c, k) for c, k in slots if isinstance(c, dict)]))
+        del container[key]
+    else:
+        container, key = draw(st.sampled_from(slots))
+        pool = NONFINITE if how == "nonfinite" else [v for v in OTHER_TYPES if type(v) is not type(container[key])]
+        container[key] = draw(st.sampled_from(pool))
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated_configs())
+def test_mutated_shipped_configs_exit_cleanly(tmp_path_factory, doc):
+    # simulate allocates by horizon x runs and privacy report streams to T = 1e7,
+    # so the fuzz runs the three commands that only load, balance and account.
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    for command in (["rates"], ["privacy", "sweep"], ["design"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([*command, "--config", str(path)])
+        assert rc in (0, 2, 3, 4), (command, doc)
+        if rc:
+            assert err.getvalue().count("\n") == 1, (command, doc, err.getvalue())
+

@@ -22,6 +22,26 @@ def test_power_step_values():
     assert PowerStep(1, 0, 1).alpha(3) == pytest.approx(1 / 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: PowerStep(v, 1.0, 1.0),
+        lambda v: PowerStep(0.3, v, 1.0),
+        lambda v: PowerNoise(v, 0.1),
+        lambda v: PowerNoise(1.0, v),
+        lambda v: PowerNoise(1.0, -v),
+        lambda v: PowerNoise(1.0, 0.1, a2=v),
+        lambda v: GeometricNoise(v, 0.9),
+        lambda v: ConstantNoise(v),
+    ],
+    ids=["step-a1", "step-a2", "b_floor", "gamma", "minus-gamma", "noise-a2", "geometric-c", "constant-b"],
+)
+def test_non_finite_parameters_rejected(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
 def test_power_step_monotone():
     s = PowerStep(1.7, 0.5, 0.8)
     vals = [s.alpha(k) for k in range(200)]
