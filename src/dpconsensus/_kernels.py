@@ -21,7 +21,7 @@ _BLOCK_ELEMENTS = 2**16
 @dataclass
 class KernelResult:
     v: np.ndarray  # (M, R) disagreement at record points
-    gmean: np.ndarray  # (M, R) gauge mean at record points
+    gmean: np.ndarray  # (R,) gauge mean at record points, run_ids[0] only
     x_final: np.ndarray  # (M, n)
     diverged_at: np.ndarray  # (M,) step index, -1 if finite throughout
     max_tail_delta: np.ndarray  # (M,) max inf-norm step change for k >= tail_start
@@ -66,7 +66,7 @@ def simulate(
 
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     v = np.full((m, n_rec), np.nan)
-    gmean = np.full((m, n_rec), np.nan)
+    gmean = np.full(n_rec, np.nan)
     x_rec = np.full((n_rec, n), np.nan) if collect_states else None
     y_rec = np.full((n_rec, n), np.nan) if collect_y else None
     diverged_at = np.full(m, -1, dtype=np.int64)
@@ -84,9 +84,9 @@ def simulate(
         mu = z.mean(axis=1)
         dev = z - mu[:, None]
         v[:, pos] = np.where(alive, (dev**2).sum(axis=1), np.nan)
-        gmean[:, pos] = np.where(alive, mu, np.nan)
         if not alive[0]:
             return
+        gmean[pos] = mu[0]
         if x_rec is not None:
             x_rec[pos] = x[0]
         if y_rec is not None and with_y:

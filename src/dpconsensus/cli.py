@@ -128,8 +128,11 @@ def _cmd_rates(args) -> int:
     gamma = getattr(cfg.noise, "gamma", 0.0) if cfg.noise is not None else 0.0
     stats = _stats(cfg)
     s = cfg.step
-    ms = designer.predict_ms_rate(s.beta, gamma, s.a1, stats.lambda2)
-    print(f"mean-square : O(k^{ms.exponent:+.4f})  regime={ms.regime}  log={ms.log_factor}")
+    try:
+        ms = designer.predict_ms_rate(s.beta, gamma, s.a1, stats.lambda2)
+        print(f"mean-square : O(k^{ms.exponent:+.4f})  regime={ms.regime}  log={ms.log_factor}")
+    except ValueError as exc:
+        print(f"mean-square : no prediction ({exc})")
     try:
         asr = designer.predict_as_rate(s.beta, gamma, s.a1, stats.lambda2)
         line = f"almost-sure : O(k^{asr.exponent:+.4f})  regime={asr.regime}  log={asr.log_factor}"

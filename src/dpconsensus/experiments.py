@@ -150,7 +150,13 @@ def _graph_from_dict(d: dict) -> SignedGraph:
     return SignedGraph.from_edges(int(d["n"]), edges)
 
 
-# A field's JSON value to its value: by name where the field is a block, else by annotation.
+def _flag(v) -> bool:
+    if not isinstance(v, bool):  # bool("false") is True
+        raise ValueError(f"allow_unvalidated must be true or false, got {v!r}")
+    return v
+
+
+# A field's JSON value to its value: by name where the field is a block or a flag, else by annotation.
 _CASTS = {
     "graph": _graph_from_dict,
     "x0": lambda v: np.asarray(v, dtype=float),
@@ -158,7 +164,8 @@ _CASTS = {
     "noise": lambda d: schedule_from_dict(d, "noise"),
     "design": lambda d: None if d is None else _build(DesignTarget, d, "design block"),
     "baselines": lambda bs: tuple(_build(BaselineVariant, b, "baseline") for b in bs),
-    "float": float, "int": int, "bool": bool, "str": str,
+    "allow_unvalidated": _flag,
+    "float": float, "int": int, "str": str,
 }
 
 
@@ -331,7 +338,7 @@ def _write_artifacts(report, res, out_dir, seed) -> None:
     with open(os.path.join(out_dir, "trajectory_000.csv"), "w") as f:
         f.write(",".join(cols) + "\n")
         for idx, k in enumerate(report.ks):
-            row = [str(int(k)), repr(float(res.v[0, idx])), repr(float(res.gmean[0, idx]))]
+            row = [str(int(k)), repr(float(res.v[0, idx])), repr(float(res.gmean[idx]))]
             row += [repr(float(v)) for s in states for v in s[idx]]
             f.write(",".join(row) + "\n")
     with open(os.path.join(out_dir, "aggregate.csv"), "w") as f:

@@ -65,7 +65,9 @@ def _check_contraction(sched: PowerStep, c_min: float) -> None:
 
 def _contraction(sched: PowerStep, c_min: float, ls: np.ndarray) -> np.ndarray:
     """Per-step sensitivity factors 1 - c_min * alpha(l) at step indices ``ls``."""
-    return 1.0 - c_min * sched.alpha(ls)
+    x = sched.alpha(ls)
+    x *= c_min
+    return np.subtract(1.0, x, out=x)
 
 
 def sensitivity_series(t: int, sched: PowerStep, c_min: float, delta: float) -> np.ndarray:
@@ -79,7 +81,9 @@ def _epsilon_at(sched: PowerStep, noise, c_min: float, delta: float, horizons) -
 
     Steps go in chunks of ``_CHUNK``; each chunk's quotients S(k)/b(k) are
     built in one reused buffer, ``_BLOCK`` steps at a time, with the
-    cumulative product of contraction factors carried from block to block.
+    cumulative product of contraction factors carried from block to block;
+    a block's step indices fill one reused buffer, and its contraction
+    factors are worked in place in the array ``alpha`` returns.
     A horizon's loss is the running total of whole chunks plus one sum over
     its own chunk's prefix, so it equals a separate pass to that horizon
     bit for bit: same products, same summation grouping, the same
@@ -91,6 +95,8 @@ def _epsilon_at(sched: PowerStep, noise, c_min: float, delta: float, horizons) -
     pending = sorted(set(hs))
     found: dict[int, float] = {}
     q = np.empty(min(_CHUNK, max(hs, default=0)))
+    offsets = np.arange(min(_BLOCK, len(q)), dtype=float)
+    idx = np.empty_like(offsets)  # a block's step indices, offsets shifted to its start
     total = 0.0
     running = 1.0  # prod of contraction factors consumed so far
     rest = math.inf  # the loss at horizons the pass never reaches
@@ -102,13 +108,14 @@ def _epsilon_at(sched: PowerStep, noise, c_min: float, delta: float, horizons) -
         valid = n  # quotients before the first b(k) <= 0
         for a in range(0, n, _BLOCK):
             e = min(a + _BLOCK, n)
-            cp = _contraction(sched, c_min, np.arange(k - 1 + a, k - 1 + e, dtype=float))
+            ls = np.add(offsets[: e - a], k - 1 + a, out=idx[: e - a])
+            cp = _contraction(sched, c_min, ls)
             cp[0] *= prev
             np.cumprod(cp, out=cp)
             q[a] = scale * prev
             np.multiply(cp[:-1], scale, out=q[a + 1 : e])
             prev = cp[-1]
-            b_vals = noise.scale(np.arange(k + a, k + e))
+            b_vals = noise.scale(np.add(ls, 1.0, out=ls))  # S(k) pairs with b(k), k = l + 1
             bad = b_vals <= 0.0
             if bad.any():
                 valid = a + int(bad.argmax())

@@ -8,7 +8,7 @@ stated with ``b(k) = b_floor * (k + a2)**gamma`` while the privacy bounds use
 representable exactly.
 
 Each schedule evaluates itself: ``alpha(k)`` and ``scale(k)`` take a step
-index or an integer array of them, and are the only way the simulator, the
+index or an array of them, and are the only way the simulator, the
 privacy accountant and the designer turn a schedule into numbers.
 """
 
@@ -54,7 +54,13 @@ class PowerStep:
             raise ValueError("beta must lie in (0, 1]")
 
     def alpha(self, k):
-        return self.a1 / (k + self.a2) ** self.beta
+        if np.ndim(k) == 0:
+            return self.a1 / (k + self.a2) ** self.beta
+        # One float array, worked in place; pow(x, 1) = x, so beta = 1 skips it.
+        x = np.add(k, self.a2, dtype=float)
+        if self.beta != 1.0:
+            x **= self.beta
+        return np.divide(self.a1, x, out=x)
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,12 @@ class PowerNoise:
             raise ValueError("a2 must be finite and >= 0")
 
     def scale(self, k):
-        base = np.asarray(k) + self.a2 - self.offset
+        base = np.add(k, self.a2, dtype=float)
+        base -= self.offset
+        if base.ndim and base.min(initial=math.inf) > 0:  # started everywhere: no masks
+            base **= self.gamma
+            base *= self.b_floor
+            return base
         started = base > 0
         # 1.0 stands in before the start, so 0**gamma (inf for gamma < 0) is never taken.
         b = np.where(started, self.b_floor * np.where(started, base, 1.0) ** self.gamma, 0.0)

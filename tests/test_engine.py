@@ -93,7 +93,7 @@ def test_kernel_matches_reference_step(fig1a, gauge1a, x0):
 
 def test_zero_noise_conserves_gauge_sum(fig1a, gauge1a, x0):
     ks, res = run_many(x0, fig1a, gauge1a, PowerStep(0.3, 1, 1), None, 500, 1, stride=1)
-    np.testing.assert_allclose(res.gmean[0], np.full(len(ks), 3.6), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.gmean, np.full(len(ks), 3.6), rtol=0, atol=1e-12)
 
 
 def test_noiseless_star_reaches_average():
@@ -127,7 +127,7 @@ def test_run_records_consistent_series(fig1a, gauge1a, x0):
     assert np.all(v >= 0)
     for idx in (0, len(ks) - 1):
         assert v[idx] == pytest.approx(disagreement(res.x_rec[idx], gauge1a))
-        assert res.gmean[0, idx] == pytest.approx((gauge1a * res.x_rec[idx]).mean())
+        assert res.gmean[idx] == pytest.approx((gauge1a * res.x_rec[idx]).mean())
     assert np.isnan(res.y_rec[-1]).all()  # no transmission recorded at k = T
 
 

@@ -560,6 +560,25 @@ class TestCli:
         assert "mean-square" in out and "almost-sure" in out
         assert "infimum exponent" in out  # beta < 1 path
 
+    def test_rates_without_mean_square_prediction(self, tmp_path, capsys):
+        noise = {"kind": "power", "b_floor": 1.0, "gamma": 0.9, "a2": 1.0, "offset": 1}
+        p = tmp_path / "g09.json"
+        p.write_text(json.dumps(minimal_doc(noise=noise, allow_unvalidated=True)))
+        rc = cli.main(["rates", "--config", str(p)])
+        assert rc == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "mean-square : no prediction (gamma must satisfy gamma < beta - 1/2)" in out
+        assert "almost-sure" in out
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_allow_unvalidated_takes_only_json_booleans(self, tmp_path, capsys, flag):
+        noise = {"kind": "power", "b_floor": 1.0, "gamma": 0.9, "a2": 1.0, "offset": 1}
+        p = tmp_path / "flag.json"
+        p.write_text(json.dumps(minimal_doc(noise=noise, allow_unvalidated=flag)))
+        assert cli.main(["simulate", "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: allow_unvalidated must be true or false, got {flag!r}\n"
+
 
 SHIPPED = ("fig2a", "fig2_caption", "fig3a", "sec4_text")
 OTHER_TYPES = ("x", [1], {"a": 1}, None, True)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpconsensus import privacy
+from dpconsensus import check_structural_balance, privacy, spectrum
+from dpconsensus.experiments import named_config
 from dpconsensus.schedules import ConstantNoise, PowerNoise, PowerStep
 
 from oracles import apply_update, epsilon_finite_chunked
@@ -422,3 +423,43 @@ class TestReport:
         assert rep.infinity.case == "no-case-applies"
         assert math.isnan(rep.infinity.value)
         assert np.isfinite(rep.epsilon_at[0])
+
+
+def _shipped_accounting(name):
+    """(sched, noise, c_min, delta) as ``privacy report --config name`` builds them."""
+    cfg = named_config(name)
+    c_min = spectrum(cfg.graph, check_structural_balance(cfg.graph)).c_min
+    noise = PowerNoise(cfg.noise.b_floor, cfg.noise.gamma, cfg.step.a2, offset=1)
+    return cfg.step, noise, c_min, cfg.design.delta if cfg.design else 1.0
+
+
+_FIG2A_PIN = ("0x1.40bf18195d969p+4", "0x1.423706bb49e12p+8", "0x1.3f747b1e10d90p+12", "0x1.3df51ea7cd33cp+14")
+
+
+@pytest.mark.parametrize(
+    "setup, pinned",
+    [
+        (lambda: _shipped_accounting("fig2a"), _FIG2A_PIN),
+        (lambda: _shipped_accounting("fig2_caption"), _FIG2A_PIN),
+        (lambda: _shipped_accounting("fig3a"), ("0x1.0000000000000p+0",) * 4),
+        (
+            lambda: _shipped_accounting("sec4_text"),
+            ("0x1.1163ec0c27f09p+3", "0x1.be669bb013780p+5", "0x1.61f1844ba0120p+8", "0x1.bccc7462ab4e4p+9"),
+        ),
+        (
+            lambda: (PowerStep(0.7, 1.5, 0.8), offset1_noise(2.0, -0.3, 1.5), 0.9, 0.5),
+            ("0x1.564c6ecbacb80p+1", "0x1.c5662f09ce3acp+1", "0x1.c576b7c947630p+1", "0x1.c576b7c94763ep+1"),
+        ),
+        (
+            lambda: (PowerStep(0.4, 0.6, 1.0), offset1_noise(1.0, 0.2, 0.6), 1.0, 1.0),
+            ("0x1.61ffdadeca80cp+2", "0x1.05a67c9079f9bp+5", "0x1.984029c4da0b6p+7", "0x1.000d05d35f361p+9"),
+        ),
+    ],
+    ids=["fig2a", "fig2_caption", "fig3a", "sec4_text", "beta-0.8", "offset1-a2-0.6"],
+)
+def test_report_epsilon_pinned_bit_for_bit(setup, pinned):
+    # The chunked oracle calls the same alpha and scale, so it cannot see a
+    # change in how they round; these pins, at the default horizons up to
+    # T = 1e7, can.
+    rep = privacy.privacy_report(*setup())
+    assert tuple(e.hex() for e in rep.epsilon_at) == pinned

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpconsensus.schedules import (
     ConstantNoise,
@@ -95,6 +97,75 @@ def test_array_evaluation_matches_scalar(sched):
     assert got.shape == ks.shape and got.dtype == np.float64
     # NumPy's array pow and the C library's scalar pow may differ in the last bit.
     np.testing.assert_allclose(got, [f(int(k)) for k in ks], rtol=2 * np.finfo(float).eps, atol=0)
+
+
+def _pow(x: float, p: float) -> float:
+    """NumPy's array power at one element.
+
+    NumPy's SIMD pow and the C library's may differ in the last bit, so the
+    references below take pow from NumPy, one element at a time, and do every
+    other operation in Python floats.
+    """
+    return float((np.array([x]) ** p)[0])
+
+
+def _alpha_ref(a1, a2, beta, k):
+    return a1 / _pow(float(k) + a2, beta)
+
+
+def _scale_ref(b_floor, gamma, a2, offset, k):
+    base = float(k) + a2 - offset
+    return b_floor * _pow(base, gamma) if base > 0 else 0.0
+
+
+_A2 = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0), st.floats(0.0, 5.0))
+_EXPONENT = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _step_arrays(draw):
+    """Step indices in any order, as an int or a float array, starting at 0 or anywhere."""
+    ks = draw(st.lists(st.integers(0, 10**7), max_size=40))
+    if draw(st.booleans()):
+        ks = [0, 1] + ks
+    return np.array(ks, dtype=draw(st.sampled_from([np.int64, np.float64])))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    a1=st.floats(0.0, 5.0),
+    a2=_A2,
+    beta=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.01, 1.0)),
+    ks=_step_arrays(),
+)
+def test_array_alpha_equals_scalar_formula_bit_for_bit(a1, a2, beta, ks):
+    if a2 == 0.0:
+        ks = ks[ks > 0]  # alpha(0) = a1 / 0 is undefined at a2 = 0
+    got = PowerStep(a1, a2, beta).alpha(ks)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, [_alpha_ref(a1, a2, beta, k) for k in ks.tolist()])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    b_floor=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    gamma=_EXPONENT,
+    a2=_A2,
+    offset=st.sampled_from([0, 1]),
+    ks=_step_arrays(),
+)
+def test_array_scale_equals_scalar_formula_bit_for_bit(b_floor, gamma, a2, offset, ks):
+    got = PowerNoise(b_floor, gamma, a2, offset).scale(ks)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, [_scale_ref(b_floor, gamma, a2, offset, k) for k in ks.tolist()])
+
+
+def test_scalar_calls_keep_their_types():
+    step, noise = PowerStep(0.3, 1.0, 0.9), PowerNoise(1.0, -0.2, 1.0, offset=1)
+    assert type(step.alpha(3)) is float
+    assert type(step.alpha(np.int64(3))) is np.float64
+    assert type(noise.scale(3)) is float and type(noise.scale(0)) is float
+    assert type(noise.scale(np.int64(3))) is float
 
 
 def test_geometric_step_baseline_only():
