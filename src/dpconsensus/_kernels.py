@@ -1,10 +1,15 @@
 """The simulation kernel: NumPy, vectorized across Monte Carlo runs.
 
-Noise is counter-based (``noise.stream_keys`` / ``noise.laplace_from_keys``),
+Noise is counter-based (``noise.stream_keys`` / ``noise.laplace_into``),
 so a draw depends only on its (seed, run, agent, step) key and is generated
 a block of steps at a time.  A block holds about ``_BLOCK_ELEMENTS`` draws,
 ``max(1, _BLOCK_ELEMENTS // (M * n))`` steps, so its memory stays flat in the
 batch shape.  The state recursion itself stays one step at a time.
+
+Every array the size of a block or of the batch state is allocated once per
+call and reused: the draws and the drive of each block, two states that swap
+each step, and one scratch state for the |x| checks and the records.  No
+step or block allocates a temporary of that size.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import laplace_from_keys, stream_keys
+from .noise import laplace_into, stream_keys
 
 _BLOCK_ELEMENTS = 2**16
 
@@ -76,14 +81,20 @@ def simulate(
     lt = laplacian.T.copy()
     at = weights.T.copy()
     rec_pos = 0
+    # Made once per call (see the module docstring).
+    block = max(1, _BLOCK_ELEMENTS // (m * n))
+    draws = np.empty((block, m, n), dtype=np.uint64)
+    drives = np.empty((block, m, n), dtype=np.uint64)
+    x_new = np.empty_like(x)
+    scratch = np.empty_like(x)
 
     def record(pos, omega=None, with_y=False):
         # Dead runs hold zeros or values within the limit (the divergence
         # check resets them), so rows are computed whole and dead ones masked.
-        z = x * gauge
+        z = np.multiply(x, gauge, out=scratch)
         mu = z.mean(axis=1)
-        dev = z - mu[:, None]
-        v[:, pos] = np.where(alive, (dev**2).sum(axis=1), np.nan)
+        dev = np.subtract(z, mu[:, None], out=z)
+        v[:, pos] = np.where(alive, np.square(dev, out=dev).sum(axis=1), np.nan)
         if not alive[0]:
             return
         gmean[pos] = mu[0]
@@ -92,7 +103,6 @@ def simulate(
         if y_rec is not None and with_y:
             y_rec[pos] = x[0] if omega is None else x[0] + omega[0]
 
-    block = max(1, _BLOCK_ELEMENTS // (m * n))
     for k0 in range(0, t_total, block):
         k1 = min(k0 + block, t_total)
         b = bscale[k0:k1]
@@ -100,26 +110,28 @@ def simulate(
         if any(noisy):
             # (B, M, n) draws and their fold alpha(k) * (w(k) @ A^T), one matmul per block.
             steps = np.arange(k0, k1, dtype=np.uint64)[:, None, None]
-            omega = laplace_from_keys(keys, steps, b[:, None, None])
-            drive = alpha[k0:k1, None, None] * (omega @ at)
+            omega = laplace_into(keys, steps, b[:, None, None], draws[: k1 - k0], drives[: k1 - k0])
+            # The draw's scratch is dead now, so the drive takes its place.
+            drive = np.matmul(omega, at, out=drives[: k1 - k0].view(np.float64))
+            drive *= alpha[k0:k1, None, None]
         for j, k in enumerate(range(k0, k1)):
             if rec_pos < n_rec and rec[rec_pos] == k:
                 record(rec_pos, omega[j] if noisy[j] else None, with_y=True)
                 rec_pos += 1
             # x - alpha(k) * (x @ L^T) + drive, in place: the same roundings.
-            x_new = x @ lt
+            np.matmul(x, lt, out=x_new)
             x_new *= alpha[k]
             np.subtract(x, x_new, out=x_new)
             if noisy[j]:
                 x_new += drive[j]
             if k >= tail_from:
-                delta = np.abs(x_new - x).max(axis=1)
+                delta = np.abs(np.subtract(x_new, x, out=scratch), out=scratch).max(axis=1)
                 np.maximum(max_tail_delta, delta, where=alive, out=max_tail_delta)
-            x = x_new
+            x, x_new = x_new, x
             # One reduction over the whole batch; NaN fails the test and
             # falls through to the per-run check.
-            if not np.abs(x).max() <= limit:
-                bad = alive & ~(np.abs(x).max(axis=1) <= limit)
+            if not np.abs(x, out=scratch).max() <= limit:
+                bad = alive & ~(scratch.max(axis=1) <= limit)
                 diverged_at[bad] = k + 1
                 alive &= ~bad
                 x[~alive] = 0.0

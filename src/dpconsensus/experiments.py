@@ -21,7 +21,7 @@ import numpy as np
 from . import engine
 from .designer import DesignTarget
 from .graphs import SignedGraph, check_structural_balance, fixture_graph, spectrum
-from .noise import DEFAULT_SEED, laplace_matrix
+from .noise import DEFAULT_SEED, laplace_from_keys, stream_keys
 from .schedules import (
     ConstantNoise,
     GeometricNoise,
@@ -138,6 +138,19 @@ class ExperimentConfig:
         _assumption_gate(self.step, self.noise, self.allow_unvalidated)
 
 
+def _integer(v) -> int:
+    # int() would truncate 10.7 and take true; int(inf) and int(nan) raise.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
+        raise ValueError(f"{json.dumps(v)} is not an integer")
+    return int(v)
+
+
+def _string(v) -> str:
+    if not isinstance(v, str):  # str() would take any value
+        raise ValueError(f"{json.dumps(v)} is not a string")
+    return v
+
+
 def _graph_from_dict(d: dict) -> SignedGraph:
     if not isinstance(d, dict) or set(d) not in ({"fixture"}, {"n", "edges"}):
         raise ConfigError("graph block needs exactly the key fixture, or the keys n and edges")
@@ -146,8 +159,8 @@ def _graph_from_dict(d: dict) -> SignedGraph:
             return fixture_graph(d["fixture"])
         except FileNotFoundError as exc:
             raise ConfigError(f"no fixture graph named {d['fixture']!r}") from exc
-    edges = [(int(i), int(j), float(w)) for i, j, w in d["edges"]]
-    return SignedGraph.from_edges(int(d["n"]), edges)
+    edges = [(_integer(i), _integer(j), float(w)) for i, j, w in d["edges"]]
+    return SignedGraph.from_edges(_integer(d["n"]), edges)
 
 
 def _flag(v) -> bool:
@@ -165,7 +178,7 @@ _CASTS = {
     "design": lambda d: None if d is None else _build(DesignTarget, d, "design block"),
     "baselines": lambda bs: tuple(_build(BaselineVariant, b, "baseline") for b in bs),
     "allow_unvalidated": _flag,
-    "float": float, "int": int, "str": str,
+    "float": float, "int": _integer, "str": _string,
 }
 
 
@@ -390,12 +403,11 @@ def _decile_noise_std(noise, seed, runs, n, t, first: bool) -> float:
     if noise is None:
         return 0.0
     lo, hi = (0, t // 10) if first else (t - t // 10, t)
-    r = min(runs, 50)
-    samples = []
-    for k, b in zip(range(lo, hi), noise.scale(np.arange(lo, hi))):
-        samples.append(laplace_matrix(seed, np.arange(r), n, k, b).ravel())
-    stacked = np.concatenate(samples)
-    return float(stacked.std())
+    steps = np.arange(lo, hi)
+    keys = stream_keys(seed, np.arange(min(runs, 50))[:, None], np.arange(n)[None, :])
+    # (steps, runs, agents) in one draw; its step-major order is the std's summation order.
+    draws = laplace_from_keys(keys, steps[:, None, None], noise.scale(steps)[:, None, None])
+    return float(draws.std())
 
 
 def compare_baselines(cfg: ExperimentConfig) -> list[BaselineVerdict]:

@@ -7,7 +7,7 @@ before it.  Keys are mixed through chained splitmix64 finalizers,
 ``mix(mix(mix(seed + run) ^ agent) ^ step)``, and mapped to Lap(0, b) by the
 inverse CDF.  ``stream_keys`` computes the (run, agent) prefix once, so the
 simulation kernel pays one finalizer per draw and can draw a block of steps
-at a time.
+at a time; ``laplace_into`` writes such a block into caller-given buffers.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "laplace_matrix",
     "laplace_from_keys",
+    "laplace_into",
     "stream_keys",
     "DEFAULT_SEED",
 ]
@@ -30,21 +31,48 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _U53 = 2.0**-53
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = z + _GOLD  # uint64 wraps, so no mask is needed
-    z ^= z >> np.uint64(30)
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer of ``z + golden``, in place on the uint64 array ``z``.
+
+    ``tmp`` is scratch of ``z``'s shape; uint64 wraps, so no mask is needed.
+    """
+    z += _GOLD
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= _M1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= _M2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
 def stream_keys(seed: int, run, agent) -> np.ndarray:
     """Per-(run, agent) hash prefix ``mix(mix(seed + run) ^ agent)``; broadcasts."""
     with np.errstate(over="ignore"):
-        h = _mix(np.uint64(seed) + np.asarray(run, dtype=np.uint64))
-        return _mix(h ^ np.asarray(agent, dtype=np.uint64))
+        z = np.asarray(np.uint64(seed) + np.asarray(run, dtype=np.uint64))
+        z = np.asarray(_mix(z, np.empty_like(z)) ^ np.asarray(agent, dtype=np.uint64))
+        return _mix(z, np.empty_like(z))
+
+
+def laplace_into(keys: np.ndarray, step: np.ndarray, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Lap(0, b) draws for hoisted ``stream_keys`` at uint64 ``step``, written into ``out``.
+
+    ``out`` and ``tmp`` are uint64 arrays of the broadcast shape of ``keys``,
+    ``step`` and ``b``.  Every operation writes into one of them, so the draw
+    makes no temporary of its size.  Returns ``out`` viewed as float64.
+    """
+    with np.errstate(over="ignore"):
+        _mix(np.bitwise_xor(keys, step, out=out), tmp)
+    out >>= np.uint64(11)
+    u = np.add(out, 0.5, out=tmp.view(np.float64))  # the top 53 bits as a float ...
+    u *= _U53
+    u -= 0.5  # ... on (-1/2, 1/2)
+    # Inverse CDF of Lap(0, b), branch-free: -b * sign(u) * log1p(-2|u|).
+    draw = np.sign(u, out=out.view(np.float64))
+    np.multiply(-b, draw, out=draw)
+    np.abs(u, out=u)
+    np.multiply(-2.0, u, out=u)
+    draw *= np.log1p(u, out=u)
+    return draw
 
 
 def laplace_from_keys(keys: np.ndarray, step, b) -> np.ndarray:
@@ -52,12 +80,12 @@ def laplace_from_keys(keys: np.ndarray, step, b) -> np.ndarray:
 
     ``keys``, ``step`` and ``b`` broadcast together, so a block of steps
     shaped (B, 1, 1) against (M, n) keys gives (B, M, n) draws in one call.
+    A 0-d input gives a scalar.
     """
-    with np.errstate(over="ignore"):
-        h = _mix(keys ^ np.asarray(step, dtype=np.uint64))
-    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _U53 - 0.5  # on (-1/2, 1/2)
-    # Inverse CDF of Lap(0, b); branch-free.
-    return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    step = np.asarray(step, dtype=np.uint64)
+    shape = np.broadcast_shapes(np.shape(keys), step.shape, np.shape(b))
+    draw = laplace_into(keys, step, b, np.empty(shape, np.uint64), np.empty(shape, np.uint64))
+    return draw[()] if draw.ndim == 0 else draw
 
 
 def laplace_matrix(seed: int, runs: np.ndarray, n_agents: int, step: int, b: float) -> np.ndarray:

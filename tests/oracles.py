@@ -5,13 +5,29 @@ import math
 import numpy as np
 
 from dpconsensus.engine import DIVERGENCE_LIMIT, DivergenceError
-from dpconsensus.noise import laplace_from_keys, stream_keys
 from dpconsensus.privacy import _CHUNK
+
+_U64 = 2**64 - 1
+
+
+def _splitmix(z: int) -> int:
+    """splitmix64's finalizer of z + golden, on Python ints modulo 2**64."""
+    z = (z + 0x9E3779B97F4A7C15) & _U64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
 
 
 def laplace_sample(seed: int, run: int, agent: int, step: int, b: float) -> float:
-    """One Lap(0, b) draw for the given stream key."""
-    return float(laplace_from_keys(stream_keys(seed, run, agent), step, b))
+    """One Lap(0, b) draw for the given stream key, one scalar operation at a time.
+
+    The hash is ``mix(mix(mix(seed + run) ^ agent) ^ step)`` on Python ints;
+    the inverse CDF runs on float64, with NumPy's log1p as its one primitive
+    (NumPy's SIMD log1p and libm's may differ in the last bit).
+    """
+    h = _splitmix(_splitmix(_splitmix((int(seed) + int(run)) & _U64) ^ int(agent)) ^ int(step))
+    u = ((h >> 11) + 0.5) * 2.0**-53 - 0.5  # on (-1/2, 1/2)
+    return float(-b * np.sign(u) * np.log1p(-2.0 * abs(u)))
 
 
 def disagreement(x: np.ndarray, gauge: np.ndarray) -> float:

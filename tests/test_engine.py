@@ -149,7 +149,7 @@ def test_divergence_abort(fig1a, gauge1a, x0):
     assert np.isnan(res.x_final[0]).all()
 
 
-def _reference_batch(x0, graph, gauge, sched, noise, t, runs, tail_start):
+def _reference_batch(x0, graph, gauge, sched, noise, t, runs, tail_start, stride):
     """The kernel's contract, one step at a time on ``laplace_matrix`` draws.
 
     A run diverges at the first step with a non-finite entry or one above
@@ -157,7 +157,7 @@ def _reference_batch(x0, graph, gauge, sched, noise, t, runs, tail_start):
     """
     lap, w = graph.laplacian(), graph.weights  # both symmetric: L^T = L, A^T = A
     alpha, bscale = sched.alpha(np.arange(t)), noise.scale(np.arange(t))
-    ks = record_points(t)
+    ks = record_points(t, stride)
     slot = {int(k): i for i, k in enumerate(ks)}
     run_ids = np.arange(runs)
     x = np.tile(np.asarray(x0, dtype=float), (runs, 1))
@@ -193,30 +193,42 @@ def _reference_batch(x0, graph, gauge, sched, noise, t, runs, tail_start):
     return ks, diverged_at, v, x_final, x_rec, y_rec, tail
 
 
+# Fig. 1(a) has n = 5 agents, so a block spans max(1, 2**16 // (5 * runs)) steps.
 @pytest.mark.parametrize(
-    "sched, noise, diverges",
+    "sched, noise, t, runs, stride, tail_start, block, diverges",
     [
-        (PowerStep(0.7, 1, 0.02), ConstantNoise(1e3), True),
-        (PowerStep(0.7, 1, 0.02), PowerNoise(1e3, 0.1, 1, 1), True),  # b(0) = 0
-        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), False),
+        (PowerStep(0.7, 1, 0.02), ConstantNoise(1e3), 3001, 40, 10, 2500, 327, "all"),
+        (PowerStep(0.7, 1, 0.02), PowerNoise(1e3, 0.1, 1, 1), 3001, 40, 10, 2500, 327, "all"),  # b(0) = 0
+        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 3001, 40, 10, 2500, 327, "none"),
+        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 25, 13_200, 10, 20, 1, "none"),
+        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 655, 40, 10, 600, 327, "none"),
+        (PowerStep(8.7, 1, 1), ConstantNoise(1e3), 60, 1638, 1, 10, 8, "some"),
     ],
-    ids=["constant-noise-diverges", "offset1-noise-diverges", "offset1-noise-stable"],
+    ids=[
+        "constant-noise-diverges", "offset1-noise-diverges", "offset1-noise-stable",
+        "one-step-blocks", "one-step-last-block", "run0-diverges-mid-block",
+    ],
 )
-def test_kernel_matches_stepwise_reference(fig1a, gauge1a, x0, sched, noise, diverges):
-    """Block noise and the one-reduction divergence check change no output.
+def test_kernel_matches_stepwise_reference(
+    fig1a, gauge1a, x0, sched, noise, t, runs, stride, tail_start, block, diverges
+):
+    """Block noise, the reused buffers and the one-reduction divergence check change no output.
 
-    T = 3001 is not a multiple of the block length, so the last block is
-    short, and the runs that diverge do so at different steps.
+    The first three cases end on a short block (T = 3001 is not a multiple
+    of 327) with runs diverging at different steps; the others cover blocks
+    of one step (M * n > 2**16), a last block of one step (655 = 2 * 327 + 1),
+    and run 0 diverging mid-block while y is recorded at every step, so dead
+    rows are reset while the live ones go on through the swapped states.
     """
-    t, runs, tail_start = 3001, 40, 2500
-    assert t % (_kernels._BLOCK_ELEMENTS // (runs * fig1a.n)) != 0
+    assert max(1, _kernels._BLOCK_ELEMENTS // (runs * fig1a.n)) == block
+    assert t % block != 0 or block == 1
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore")
         ks, res = run_many(
-            x0, fig1a, gauge1a, sched, noise, t, runs,
+            x0, fig1a, gauge1a, sched, noise, t, runs, stride=stride,
             collect_states=True, collect_y=True, tail_start=tail_start,
         )
-        want = _reference_batch(x0, fig1a, gauge1a, sched, noise, t, runs, tail_start)
+        want = _reference_batch(x0, fig1a, gauge1a, sched, noise, t, runs, tail_start, stride)
     ref_ks, diverged_at, v, x_final, x_rec, y_rec, tail = want
     np.testing.assert_array_equal(ks, ref_ks)
     np.testing.assert_array_equal(res.diverged_at, diverged_at)
@@ -225,11 +237,17 @@ def test_kernel_matches_stepwise_reference(fig1a, gauge1a, x0, sched, noise, div
     np.testing.assert_array_equal(res.x_rec, x_rec[0])  # states are recorded for run 0 only
     np.testing.assert_array_equal(res.y_rec, y_rec[0])
     np.testing.assert_array_equal(res.max_tail_delta, tail)
-    if diverges:
-        assert (res.diverged_at > 0).all()
+    dead = res.diverged_at > 0
+    if diverges == "all":
+        assert dead.all()
         assert len(set(res.diverged_at.tolist())) > 1  # not all at one step
+    elif diverges == "some":
+        assert 0 < dead.sum() < runs
+        assert res.diverged_at[0] > block and res.diverged_at[0] % block != 0
+        assert len(set(res.diverged_at[dead].tolist())) > block  # across blocks
+        assert not np.isnan(res.y_rec[res.diverged_at[0] - 1]).any()  # y recorded up to it
     else:
-        assert (res.diverged_at == -1).all()
+        assert not dead.any()
 
 
 def test_stability_warning(fig1a, gauge1a, x0):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from dpconsensus import cli, engine, experiments
 from dpconsensus.graphs import fixture_graph
+from dpconsensus.noise import laplace_matrix
 from dpconsensus.experiments import (
     ConfigError,
     NonpositiveValuesError,
@@ -242,6 +244,28 @@ class TestRunExperiment:
                 run_experiment(cfg)
 
 
+def _decile_draws_per_step(noise, seed, runs, n, t, first):
+    """The draws behind ``experiments._decile_noise_std`` in its former form: one ``laplace_matrix`` per step."""
+    lo, hi = (0, t // 10) if first else (t - t // 10, t)
+    r = min(runs, 50)
+    return np.concatenate(
+        [laplace_matrix(seed, np.arange(r), n, k, b).ravel() for k, b in zip(range(lo, hi), noise.scale(np.arange(lo, hi)))]
+    )
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [PowerNoise(1, 0.1, 1, 1), PowerNoise(2, 0.3, 5), GeometricNoise(1, 0.9), ConstantNoise(2.0)],
+    ids=["power-offset1", "power", "geometric", "constant"],
+)
+@pytest.mark.parametrize("runs, t", [(7, 1000), (80, 257)])
+def test_decile_noise_std_equals_the_per_step_draws(noise, runs, t):
+    """One (steps, runs, agents) draw per decile gives the per-step loop's std, bit for bit."""
+    got = [experiments._decile_noise_std(noise, 11, runs, 5, t, first) for first in (True, False)]
+    want = [_decile_draws_per_step(noise, 11, runs, 5, t, first).std() for first in (True, False)]
+    assert np.array_equal(got, want)
+
+
 class TestCompareBaselines:
     @pytest.fixture(scope="class")
     def verdicts(self):
@@ -460,6 +484,70 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
         assert err.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (minimal_doc(horizon=10.7), "config error: 10.7 is not an integer"),
+            (minimal_doc(runs=True), "config error: true is not an integer"),
+            (minimal_doc(name=[1, 2]), "config error: [1, 2] is not a string"),
+            (minimal_doc(stride="10"), 'config error: "10" is not an integer'),
+            (minimal_doc(seed=None), "config error: null is not an integer"),
+            (
+                minimal_doc(noise={"kind": "power", "b_floor": 1.0, "gamma": 0.1, "a2": 1.0, "offset": False}),
+                "config error: power noise block: false is not an integer",
+            ),
+            (
+                minimal_doc(graph={"n": 2.5, "edges": [[1, 2, 1.0]]}, x0=[1.0, 2.0]),
+                "config error: 2.5 is not an integer",
+            ),
+            (
+                minimal_doc(graph={"n": 2, "edges": [[1, 1.5, 1.0]]}, x0=[1.0, 2.0]),
+                "config error: 1.5 is not an integer",
+            ),
+            (
+                minimal_doc(baselines=[{"name": 7, "step": {"kind": "geometric", "p": 0.8},
+                                        "allow_unvalidated": True}]),
+                "config error: baseline: 7 is not a string",
+            ),
+        ],
+        ids=[
+            "fractional-horizon", "bool-runs", "list-name", "string-stride", "null-seed",
+            "bool-offset", "fractional-n", "fractional-endpoint", "number-baseline-name",
+        ],
+    )
+    def test_value_of_another_json_type_is_config_error(self, tmp_path, capsys, doc, message):
+        """An integer field takes a JSON integer or an integral float, a string field a string."""
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", "--config", str(p)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_integral_floats_load_as_integers(self, tmp_path):
+        p = tmp_path / "floats.json"
+        p.write_text(json.dumps(minimal_doc(horizon=200.0, runs=8.0, stride=1e1)))
+        cfg = load_config(str(p))
+        assert (cfg.horizon, cfg.runs, cfg.stride) == (200, 8, 10)
+        assert all(type(v) is int for v in (cfg.horizon, cfg.runs, cfg.stride))
+
+    def test_fig2a_artifacts_are_pinned(self, tmp_path, capsys):
+        """SHA-256 of each ``simulate --config fig2a --runs 2 --out`` artifact.
+
+        Recorded with the kernel that allocated its blocks and states afresh
+        at every step, so any drift in the last bit of a draw, a step or a
+        record fails here.  The hashes hold for one NumPy/BLAS build: a BLAS
+        with other rounding in its matmul kernels gives other bits.
+        """
+        rc = cli.main(["simulate", "--config", "fig2a", "--runs", "2", "--out", str(tmp_path)])
+        assert rc == cli.EXIT_OK
+        capsys.readouterr()
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == {
+            "aggregate.csv": "c630601b065741b00b778bf48fdabafd0c42fe40ae53a36be5cd8a7bccccbeb5",
+            "report.json": "2d883b018c56548d3d352bda8d6f90f473f368253445997a2f7cdff216a5ebe4",
+            "trajectory_000.csv": "363443ab0cf497293b2e980e6ec56c28355f4c0430f0b54996d22754898dba2a",
+        }
 
     def test_alias_serves_its_target_under_its_own_name(self):
         alias = named_config("fig2_caption")

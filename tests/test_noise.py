@@ -9,6 +9,7 @@ from scipy import stats as sstats
 from dpconsensus.noise import (
     DEFAULT_SEED,
     laplace_from_keys,
+    laplace_into,
     laplace_matrix,
     stream_keys,
 )
@@ -64,6 +65,49 @@ def test_block_draws_equal_per_step_draws(seed, runs, n, k0, length, b):
         for r, run in enumerate(runs.tolist()):
             for a in range(n):
                 assert block[j, r, a] == laplace_sample(seed, run, a, k, scales[j])
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    runs=st.lists(st.integers(0, 2**62), min_size=1, max_size=4, unique=True),
+    n=st.integers(1, 5),
+    k0=st.integers(0, 2**62),
+    length=st.integers(1, 6),
+    b=st.floats(0.0, 1e6),
+    shapes=st.sampled_from(
+        [
+            ("scalar", "scalar", "scalar"),  # all 0-d
+            ("matrix", "scalar", "block"),  # b alone widens the broadcast of keys ^ step
+            ("matrix", "block", "block"),  # (B, 1, 1) steps and scales against (M, n) keys
+            ("scalar", "block", "scalar"),
+            ("matrix", "block", "scalar"),
+        ]
+    ),
+)
+def test_in_place_draw_fills_the_callers_buffer_with_the_stream(seed, runs, n, k0, length, b, shapes):
+    """``laplace_into`` writes each key's oracle draw into the given buffer, whatever broadcasts."""
+    key_shape, step_shape, b_shape = shapes
+    runs = np.array(runs, dtype=np.int64)
+    run, agent = (runs[:, None], np.arange(n)[None, :]) if key_shape == "matrix" else (runs[0], n - 1)
+    keys = stream_keys(seed, run, agent)
+    step = np.arange(k0, k0 + length, dtype=np.uint64)[:, None, None]
+    scale = b * np.arange(1, length + 1)[:, None, None]
+    if step_shape == "scalar":
+        step = np.asarray(step[0, 0, 0])
+    if b_shape == "scalar":
+        scale = b
+    shape = np.broadcast_shapes(np.shape(keys), step.shape, np.shape(scale))
+    out, tmp = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    draw = laplace_into(keys, step, scale, out, tmp)
+    assert draw.shape == shape and draw.dtype == np.float64
+    assert np.shares_memory(draw, out)
+    grids = np.broadcast_arrays(run, agent, step, scale, draw)
+    for r, a, k, s, d in zip(*(g.ravel().tolist() for g in grids)):
+        assert d == laplace_sample(seed, r, a, k, s)
+    wrapped = laplace_from_keys(keys, step, scale)
+    assert np.array_equal(wrapped, draw)
+    assert isinstance(wrapped, np.float64) if shape == () else wrapped.shape == shape
 
 
 def test_moments_at_unit_scale():
