@@ -21,6 +21,7 @@ import numpy as np
 from .noise import laplace_into, stream_keys
 
 _BLOCK_ELEMENTS = 2**16
+DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass
@@ -30,8 +31,8 @@ class KernelResult:
     x_final: np.ndarray  # (M, n)
     diverged_at: np.ndarray  # (M,) step index, -1 if finite throughout
     max_tail_delta: np.ndarray  # (M,) max inf-norm step change for k >= tail_start
-    x_rec: np.ndarray | None = None  # (R, n), run_ids[0] only
-    y_rec: np.ndarray | None = None  # (R, n), run_ids[0] only; NaN where y(k) is undefined
+    x_rec: np.ndarray  # (R, n), run_ids[0] only
+    y_rec: np.ndarray  # (R, n), run_ids[0] only; NaN where y(k) is undefined
 
 
 def simulate(
@@ -44,18 +45,15 @@ def simulate(
     seed: int,
     run_ids: np.ndarray,
     record_idx: np.ndarray,
-    collect_states: bool = False,
-    collect_y: bool = False,
     tail_start: int | None = None,
-    limit: float = 1e12,
 ) -> KernelResult:
     """Iterate x(k+1) = (I - alpha(k) L) x(k) + alpha(k) A w(k) for all runs.
 
     ``record_idx`` must be sorted, start at 0 and end at T = len(alpha).
     A run diverges at the first step whose state has a non-finite entry or
-    one above ``limit`` in magnitude; its later records are NaN and its
-    state is reset to zero.  ``collect_states`` / ``collect_y`` record the
-    states of ``run_ids[0]`` alone, so memory stays O(R * n).
+    one above ``DIVERGENCE_LIMIT`` in magnitude; its later records are NaN and its
+    state is reset to zero.  Run ``run_ids[0]``'s states and transmissions
+    y(k) = x(k) + w(k) are recorded too (y = x at a noiseless step, NaN at k = T).
     """
     n = weights.shape[0]
     m = len(run_ids)
@@ -72,8 +70,8 @@ def simulate(
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     v = np.full((m, n_rec), np.nan)
     gmean = np.full(n_rec, np.nan)
-    x_rec = np.full((n_rec, n), np.nan) if collect_states else None
-    y_rec = np.full((n_rec, n), np.nan) if collect_y else None
+    x_rec = np.full((n_rec, n), np.nan)
+    y_rec = np.full((n_rec, n), np.nan)
     diverged_at = np.full(m, -1, dtype=np.int64)
     max_tail_delta = np.zeros(m)
     alive = np.ones(m, dtype=bool)
@@ -98,9 +96,8 @@ def simulate(
         if not alive[0]:
             return
         gmean[pos] = mu[0]
-        if x_rec is not None:
-            x_rec[pos] = x[0]
-        if y_rec is not None and with_y:
+        x_rec[pos] = x[0]
+        if with_y:
             y_rec[pos] = x[0] if omega is None else x[0] + omega[0]
 
     for k0 in range(0, t_total, block):
@@ -130,8 +127,8 @@ def simulate(
             x, x_new = x_new, x
             # One reduction over the whole batch; NaN fails the test and
             # falls through to the per-run check.
-            if not np.abs(x, out=scratch).max() <= limit:
-                bad = alive & ~(scratch.max(axis=1) <= limit)
+            if not np.abs(x, out=scratch).max() <= DIVERGENCE_LIMIT:
+                bad = alive & ~(scratch.max(axis=1) <= DIVERGENCE_LIMIT)
                 diverged_at[bad] = k + 1
                 alive &= ~bad
                 x[~alive] = 0.0

@@ -179,6 +179,7 @@ def design_search(
 ) -> DesignResult:
     """Exhaustive grid search; feasible points sorted fastest-rate first."""
     grid = dict(default_grid(), **(grid or {}))
+    # _gammas_for yields only gamma < beta - 1/2, so "assumption" stays 0; design JSON reports it.
     fails = {"accuracy": 0, "epsilon": 0, "assumption": 0}
     points: list[DesignPoint] = []
     evaluated = 0
@@ -189,9 +190,6 @@ def design_search(
                 for a2 in grid["a2"]:
                     for bf in grid["b_floor"]:
                         evaluated += 1
-                        if gamma >= beta - 0.5:
-                            fails["assumption"] += 1
-                            continue
                         floor = target.delta / (bf * a2**gamma)  # delta/b(1)
                         if floor <= target.epsilon_star:
                             all_above_floor = False

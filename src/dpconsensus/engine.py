@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import DIVERGENCE_LIMIT
 from .graphs import SignedGraph
 from .noise import DEFAULT_SEED
 from .schedules import (
@@ -40,7 +41,6 @@ __all__ = [
 # Reported in ``report.json``; the name predates the single kernel and is
 # kept so that same-seed artifacts stay byte-identical.
 BACKEND_NAME = "pure"
-DIVERGENCE_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
@@ -82,14 +82,11 @@ def run_many(
     runs: int,
     seed: int = DEFAULT_SEED,
     record_idx: np.ndarray | None = None,
-    stride: int = 10,
-    collect_states: bool = False,
-    collect_y: bool = False,
     tail_start: int | None = None,
 ):
     """Simulate runs 0, ..., runs - 1; returns (record_idx, KernelResult).
 
-    ``collect_states`` / ``collect_y`` record the states of run 0 only.
+    ``record_idx`` defaults to ``record_points(t)``; run 0's x and y are recorded.
     """
     if t < 1:
         raise ValueError("horizon must be >= 1")
@@ -104,7 +101,7 @@ def run_many(
             stacklevel=2,
         )
     if record_idx is None:
-        record_idx = record_points(t, stride)
+        record_idx = record_points(t)
     res = _kernels.simulate(
         np.asarray(graph.weights, dtype=float),
         graph.laplacian(),
@@ -115,10 +112,7 @@ def run_many(
         seed,
         np.arange(runs, dtype=np.int64),
         record_idx,
-        collect_states=collect_states,
-        collect_y=collect_y,
         tail_start=tail_start,
-        limit=DIVERGENCE_LIMIT,
     )
     return record_idx, res
 

@@ -145,6 +145,20 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _number(v) -> float:
+    # float() would take "0.3" and true.
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{json.dumps(v)} is not a number")
+    return float(v)
+
+
+def _states(v) -> np.ndarray:
+    # Nested lists are left to ExperimentConfig's flat-list check.
+    if isinstance(v, list):
+        v = [e if isinstance(e, list) else _number(e) for e in v]
+    return np.asarray(v, dtype=float)
+
+
 def _string(v) -> str:
     if not isinstance(v, str):  # str() would take any value
         raise ValueError(f"{json.dumps(v)} is not a string")
@@ -159,7 +173,7 @@ def _graph_from_dict(d: dict) -> SignedGraph:
             return fixture_graph(d["fixture"])
         except FileNotFoundError as exc:
             raise ConfigError(f"no fixture graph named {d['fixture']!r}") from exc
-    edges = [(_integer(i), _integer(j), float(w)) for i, j, w in d["edges"]]
+    edges = [(_integer(i), _integer(j), _number(w)) for i, j, w in d["edges"]]
     return SignedGraph.from_edges(_integer(d["n"]), edges)
 
 
@@ -172,13 +186,13 @@ def _flag(v) -> bool:
 # A field's JSON value to its value: by name where the field is a block or a flag, else by annotation.
 _CASTS = {
     "graph": _graph_from_dict,
-    "x0": lambda v: np.asarray(v, dtype=float),
+    "x0": _states,
     "step": lambda d: schedule_from_dict(d, "step"),
     "noise": lambda d: schedule_from_dict(d, "noise"),
     "design": lambda d: None if d is None else _build(DesignTarget, d, "design block"),
     "baselines": lambda bs: tuple(_build(BaselineVariant, b, "baseline") for b in bs),
     "allow_unvalidated": _flag,
-    "float": float, "int": _integer, "str": _string,
+    "float": _number, "int": _integer, "str": _string,
 }
 
 
@@ -257,7 +271,6 @@ class AggregateReport:
     rate: RateFit | None
     diverged: int
     runs: int
-    config_echo: dict = field(default_factory=dict)
 
 
 def estimate_rate(ks, v_mean, window: tuple[float, float]) -> RateFit:
@@ -300,9 +313,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Aggrega
         cfg.horizon,
         cfg.runs,
         seed=cfg.seed,
-        stride=cfg.stride,
-        collect_states=out_dir is not None,
-        collect_y=out_dir is not None and cfg.noise is not None,
+        record_idx=engine.record_points(cfg.horizon, cfg.stride),
     )
     diverged = int(np.sum(res.diverged_at >= 0))
     if diverged > cfg.runs * 0.01:
@@ -330,22 +341,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Aggrega
         rate=rate,
         diverged=diverged,
         runs=cfg.runs,
-        config_echo=dict(cfg.raw),
     )
     if out_dir is not None:
-        _write_artifacts(report, res, out_dir, cfg.seed)
+        _write_artifacts(report, res, out_dir, cfg)
     return report
 
 
-def _write_artifacts(report, res, out_dir, seed) -> None:
-    """report.json, aggregate.csv and trajectory_000.csv (run 0 of the batch)."""
-    import os
-
+def _write_artifacts(report, res, out_dir, cfg) -> None:
+    """report.json, aggregate.csv and trajectory_000.csv (run 0 of the batch; y only with noise)."""
     os.makedirs(out_dir, exist_ok=True)
     n = res.x_rec.shape[1]
     cols = ["k", "V", "gauge_mean"] + [f"x_{i + 1}" for i in range(n)]
     states = [res.x_rec]
-    if res.y_rec is not None:
+    if cfg.noise is not None:
         cols += [f"y_{i + 1}" for i in range(n)]
         states.append(res.y_rec)
     with open(os.path.join(out_dir, "trajectory_000.csv"), "w") as f:
@@ -362,8 +370,8 @@ def _write_artifacts(report, res, out_dir, seed) -> None:
                 f"{float(report.v_q50[i])!r},{float(report.v_q90[i])!r}\n"
             )
     doc = {
-        "config": report.config_echo,
-        "seed": seed,
+        "config": cfg.raw,
+        "seed": cfg.seed,
         "runs": report.runs,
         "backend": engine.BACKEND_NAME,
         "diverged": report.diverged,
@@ -421,7 +429,7 @@ def compare_baselines(cfg: ExperimentConfig) -> list[BaselineVerdict]:
     for var in variants:
         _, res = engine.run_many(
             cfg.x0, cfg.graph, gauge, var.step, var.noise, t, cfg.runs,
-            seed=cfg.seed, stride=cfg.stride, tail_start=tail_start,
+            seed=cfg.seed, record_idx=engine.record_points(t, cfg.stride), tail_start=tail_start,
         )
         ok = res.diverged_at < 0
         tail_delta = float(res.max_tail_delta[ok].max()) if ok.any() else math.inf

@@ -127,9 +127,7 @@ def test_criterion_04_mean_square_rate(fig1a, gauge):
     low, high = floor - 0.05, bound.exponent
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rec, res = engine.run_many(
-            X0, fig1a, gauge, STEP_B, noise, t, m, seed=SEED + 2, stride=10
-        )
+        rec, res = engine.run_many(X0, fig1a, gauge, STEP_B, noise, t, m, seed=SEED + 2)
     fit = experiments.estimate_rate(rec, res.v.mean(axis=0), (1000, 10_000))
     ok = low <= fit.slope <= high
     _line(

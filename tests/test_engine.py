@@ -92,7 +92,7 @@ def test_kernel_matches_reference_step(fig1a, gauge1a, x0):
 
 
 def test_zero_noise_conserves_gauge_sum(fig1a, gauge1a, x0):
-    ks, res = run_many(x0, fig1a, gauge1a, PowerStep(0.3, 1, 1), None, 500, 1, stride=1)
+    ks, res = run_many(x0, fig1a, gauge1a, PowerStep(0.3, 1, 1), None, 500, 1, record_idx=record_points(500, 1))
     np.testing.assert_allclose(res.gmean, np.full(len(ks), 3.6), rtol=0, atol=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_record_points_structure():
 
 def test_run_records_consistent_series(fig1a, gauge1a, x0):
     sched, noise = PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1)
-    ks, res = run_many(x0, fig1a, gauge1a, sched, noise, 200, 1, collect_states=True, collect_y=True)
+    ks, res = run_many(x0, fig1a, gauge1a, sched, noise, 200, 1)
     v = res.v[0]
     assert v[0] == pytest.approx(155.2)
     assert np.all(v >= 0)
@@ -225,8 +225,8 @@ def test_kernel_matches_stepwise_reference(
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore")
         ks, res = run_many(
-            x0, fig1a, gauge1a, sched, noise, t, runs, stride=stride,
-            collect_states=True, collect_y=True, tail_start=tail_start,
+            x0, fig1a, gauge1a, sched, noise, t, runs,
+            record_idx=record_points(t, stride), tail_start=tail_start,
         )
         want = _reference_batch(x0, fig1a, gauge1a, sched, noise, t, runs, tail_start, stride)
     ref_ks, diverged_at, v, x_final, x_rec, y_rec, tail = want
@@ -290,6 +290,19 @@ def test_limit_statistics_tail_shrinks_with_truncation(stats1a, gauge1a, x0):
     assert large.tail_bound < small.tail_bound
     assert small.limit_variance >= large.limit_variance  # bound tightens
     assert abs(small.limit_variance - large.limit_variance) < 1e-3
+
+
+@pytest.mark.parametrize("k_trunc", [0, 20, 60])
+def test_limit_statistics_geometric_tail(stats1a, gauge1a, x0, k_trunc):
+    """Partial sum plus the geometric tail bound encloses the whole series from above."""
+    ls = limit_statistics(x0, gauge1a, stats1a.degrees, PowerStep(0.3, 1, 1), GeometricNoise(2.0, 0.9), k_trunc)
+    terms, k = [], 0
+    while k == 0 or terms[-1] > 0.0:  # alpha(k)^2 b(k)^2 until it underflows
+        terms.append((0.3 / (k + 1)) ** 2 * (2.0 * 0.9**k) ** 2)
+        k += 1
+    series = 2.0 * float((stats1a.degrees**2).sum()) / len(x0) ** 2 * math.fsum(terms)
+    assert ls.truncation_steps == k_trunc and ls.tail_bound > 0.0
+    assert series <= ls.limit_variance <= series + ls.tail_bound
 
 
 def test_limit_statistics_divergent(stats1a, gauge1a, x0):

@@ -198,7 +198,7 @@ class TestRunExperiment:
         for r in range(12):
             _, res = engine.run_many(  # run r's draws do not depend on the batch size
                 cfg.x0, cfg.graph, gauge, cfg.step, cfg.noise, cfg.horizon, r + 1,
-                seed=cfg.seed, stride=cfg.stride,
+                seed=cfg.seed, record_idx=engine.record_points(cfg.horizon, cfg.stride),
             )
             vs.append(res.v[r])
         vs = np.array(vs)
@@ -225,6 +225,11 @@ class TestRunExperiment:
         agg = (tmp_path / "aggregate.csv").read_text().splitlines()
         assert agg[0] == "k,v_mean,v_q10,v_q50,v_q90"
         assert len(agg) - 1 == len(rep.ks)
+        # Without a noise block nothing is transmitted but the states: no y columns.
+        quiet = tmp_path / "quiet"
+        run_experiment(config_from_dict(minimal_doc(runs=4, horizon=120, noise=None)), out_dir=str(quiet))
+        header = (quiet / "trajectory_000.csv").read_text().splitlines()[0]
+        assert header == "k,V,gauge_mean,x_1,x_2,x_3,x_4,x_5"
 
     def test_seed_override_changes_draws(self):
         cfg = config_from_dict(minimal_doc(runs=4))
@@ -369,10 +374,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, over, message",
         [
-            (["design"], {"delta": "abc"}, "design block: could not convert string to float: 'abc'"),
+            (["design"], {"delta": "abc"}, 'design block: "abc" is not a number'),
             (["design"], {"r_star": None}, "design block needs exactly the keys"),
             (["design"], {"r_star": float("nan")}, "design block: r_star, epsilon_star, delta must be positive"),
-            (["privacy", "report"], {"delta": "abc"}, "design block: could not convert string to float: 'abc'"),
+            (["privacy", "report"], {"delta": "abc"}, 'design block: "abc" is not a number'),
         ],
         ids=["design-text-delta", "design-no-r_star", "design-nan-r_star", "report-text-delta"],
     )
@@ -385,6 +390,22 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["privacy", "report"], "privacy accounting needs a power step schedule"),
+            (["privacy", "sweep"], "privacy accounting needs a power step schedule"),
+            (["rates"], "rate prediction needs a power step schedule"),
+        ],
+        ids=["privacy-report", "privacy-sweep", "rates"],
+    )
+    def test_non_power_step_is_config_error(self, tmp_path, capsys, command, message):
+        p = tmp_path / "geometric.json"
+        p.write_text(json.dumps(minimal_doc(step={"kind": "geometric", "p": 0.8}, allow_unvalidated=True)))
+        rc = cli.main([*command, "--config", str(p)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command", [["simulate"], ["rates"]])
     def test_unbalanced_graph_is_config_error(self, tmp_path, capsys, command):
@@ -510,14 +531,29 @@ class TestCli:
                                         "allow_unvalidated": True}]),
                 "config error: baseline: 7 is not a string",
             ),
+            (
+                minimal_doc(step={"kind": "power", "a1": "0.3", "a2": 1.0, "beta": 1.0}),
+                'config error: power step block: "0.3" is not a number',
+            ),
+            (
+                minimal_doc(step={"kind": "power", "a1": 0.3, "a2": True, "beta": 1.0}),
+                "config error: power step block: true is not a number",
+            ),
+            (minimal_doc(x0=["10", True, 6, -4, 2]), 'config error: "10" is not a number'),
+            (
+                minimal_doc(graph={"n": 2, "edges": [[1, 2, "1.5"]]}, x0=[1.0, 2.0]),
+                'config error: "1.5" is not a number',
+            ),
         ],
         ids=[
             "fractional-horizon", "bool-runs", "list-name", "string-stride", "null-seed",
             "bool-offset", "fractional-n", "fractional-endpoint", "number-baseline-name",
+            "string-a1", "bool-a2", "string-x0", "string-weight",
         ],
     )
     def test_value_of_another_json_type_is_config_error(self, tmp_path, capsys, doc, message):
-        """An integer field takes a JSON integer or an integral float, a string field a string."""
+        """An integer field takes a JSON integer or an integral float, a float field a JSON number
+        (x0 entries and edge weights too), and a string field a string."""
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         rc = cli.main(["simulate", "--config", str(p)])
