@@ -429,7 +429,7 @@ def compare_baselines(cfg: ExperimentConfig) -> list[BaselineVerdict]:
     for var in variants:
         _, res = engine.run_many(
             cfg.x0, cfg.graph, gauge, var.step, var.noise, t, cfg.runs,
-            seed=cfg.seed, record_idx=engine.record_points(t, cfg.stride), tail_start=tail_start,
+            seed=cfg.seed, record_idx=np.array([0, t]), tail_start=tail_start,
         )
         ok = res.diverged_at < 0
         tail_delta = float(res.max_tail_delta[ok].max()) if ok.any() else math.inf

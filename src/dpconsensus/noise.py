@@ -29,6 +29,7 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _U53 = 2.0**-53
+_U_MAX = 0.5 - 2.0**-54  # |u| of the top and bottom hashes, exactly
 
 
 def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -65,11 +66,12 @@ def laplace_into(keys: np.ndarray, step: np.ndarray, b, out: np.ndarray, tmp: np
     out >>= np.uint64(11)
     u = np.add(out, 0.5, out=tmp.view(np.float64))  # the top 53 bits as a float ...
     u *= _U53
-    u -= 0.5  # ... on (-1/2, 1/2)
+    u -= 0.5  # ... on (-1/2, 1/2]
     # Inverse CDF of Lap(0, b), branch-free: -b * sign(u) * log1p(-2|u|).
     draw = np.sign(u, out=out.view(np.float64))
     np.multiply(-b, draw, out=draw)
     np.abs(u, out=u)
+    np.minimum(u, _U_MAX, out=u)  # the top hash's u rounds up to 1/2
     np.multiply(-2.0, u, out=u)
     draw *= np.log1p(u, out=u)
     return draw

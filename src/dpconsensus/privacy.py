@@ -32,7 +32,6 @@ __all__ = [
     "privacy_report",
 ]
 
-_CHUNK = 1 << 20
 _BLOCK = 1 << 15
 
 
@@ -79,56 +78,47 @@ def sensitivity_series(t: int, sched: PowerStep, c_min: float, delta: float) -> 
 def _epsilon_at(sched: PowerStep, noise, c_min: float, delta: float, horizons) -> tuple[float, ...]:
     """Privacy loss at every horizon from one pass up to the largest.
 
-    Steps go in chunks of ``_CHUNK``; each chunk's quotients S(k)/b(k) are
-    built in one reused buffer, ``_BLOCK`` steps at a time, with the
-    cumulative product of contraction factors carried from block to block;
-    a block's step indices fill one reused buffer, and its contraction
-    factors are worked in place in the array ``alpha`` returns.
-    A horizon's loss is the running total of whole chunks plus one sum over
-    its own chunk's prefix, so it equals a separate pass to that horizon
-    bit for bit: same products, same summation grouping, the same
-    ``b <= 0`` rule and the same early stop once S(k) underflows.
+    Steps go in blocks of ``_BLOCK``.  A block's step indices fill one
+    reused buffer and its contraction factors are worked in place in the
+    array ``alpha`` returns; their cumulative product, scaled by delta times
+    the product of every factor before the block, fills a second reused
+    buffer with the block's quotients S(k)/b(k).  A horizon's loss is the
+    running total of whole blocks plus one sum over its own block's prefix,
+    so it equals a separate pass to that horizon bit for bit.  The loss is
+    infinite from the first ``b(k) <= 0`` on, and the pass stops early once
+    S(k) underflows.
     """
     hs = [int(h) for h in horizons]
     if any(h < 1 for h in hs):
         raise ValueError("horizon must be >= 1")
     pending = sorted(set(hs))
     found: dict[int, float] = {}
-    q = np.empty(min(_CHUNK, max(hs, default=0)))
-    offsets = np.arange(min(_BLOCK, len(q)), dtype=float)
+    offsets = np.arange(min(_BLOCK, max(hs, default=0)), dtype=float)
     idx = np.empty_like(offsets)  # a block's step indices, offsets shifted to its start
+    q = np.empty_like(offsets)  # a block's quotients S(k)/b(k)
     total = 0.0
-    running = 1.0  # prod of contraction factors consumed so far
+    running = 1.0  # prod of contraction factors before the block
     rest = math.inf  # the loss at horizons the pass never reaches
     k = 1
     while pending:
-        n = min(pending[-1] - k + 1, _CHUNK)  # this chunk holds steps k .. k + n - 1
+        n = min(pending[-1] - k + 1, _BLOCK)  # this block holds steps k .. k + n - 1
+        ls = np.add(offsets[:n], k - 1, out=idx[:n])
+        cp = _contraction(sched, c_min, ls)
+        np.cumprod(cp, out=cp)
         scale = delta * running
-        prev = 1.0  # cumulative product of this chunk's factors before the block
-        valid = n  # quotients before the first b(k) <= 0
-        for a in range(0, n, _BLOCK):
-            e = min(a + _BLOCK, n)
-            ls = np.add(offsets[: e - a], k - 1 + a, out=idx[: e - a])
-            cp = _contraction(sched, c_min, ls)
-            cp[0] *= prev
-            np.cumprod(cp, out=cp)
-            q[a] = scale * prev
-            np.multiply(cp[:-1], scale, out=q[a + 1 : e])
-            prev = cp[-1]
-            b_vals = noise.scale(np.add(ls, 1.0, out=ls))  # S(k) pairs with b(k), k = l + 1
-            bad = b_vals <= 0.0
-            if bad.any():
-                valid = a + int(bad.argmax())
-                q[a:valid] /= b_vals[: valid - a]
-                break
-            q[a:e] /= b_vals
+        q[0] = scale
+        np.multiply(cp[:-1], scale, out=q[1:n])
+        b_vals = noise.scale(np.add(ls, 1.0, out=ls))  # S(k) pairs with b(k), k = l + 1
+        bad = b_vals <= 0.0
+        valid = int(bad.argmax()) if bad.any() else n  # quotients before the first b(k) <= 0
+        q[:valid] /= b_vals[:valid]
         while pending and pending[0] < k + n:
             h = pending.pop(0)
             found[h] = total + float(np.sum(q[: h - k + 1])) if h - k < valid else math.inf
         if valid < n:
             break
         total += float(np.sum(q[:n]))
-        running *= float(prev)
+        running *= float(cp[-1])
         if abs(running) < 1e-300:
             rest = total
             break
@@ -137,7 +127,7 @@ def _epsilon_at(sched: PowerStep, noise, c_min: float, delta: float, horizons) -
 
 
 def epsilon_finite(sched: PowerStep, noise, c_min: float, delta: float, horizon: int) -> float:
-    """Privacy loss sum_{k=1}^T S(k)/b(k), streamed in chunks."""
+    """Privacy loss sum_{k=1}^T S(k)/b(k), streamed in ``_BLOCK``-step blocks."""
     return _epsilon_at(sched, noise, c_min, delta, (horizon,))[0]
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from dpconsensus.engine import DIVERGENCE_LIMIT, DivergenceError
-from dpconsensus.privacy import _CHUNK
+from dpconsensus.privacy import _BLOCK
 
 _U64 = 2**64 - 1
 
@@ -26,8 +26,8 @@ def laplace_sample(seed: int, run: int, agent: int, step: int, b: float) -> floa
     (NumPy's SIMD log1p and libm's may differ in the last bit).
     """
     h = _splitmix(_splitmix(_splitmix((int(seed) + int(run)) & _U64) ^ int(agent)) ^ int(step))
-    u = ((h >> 11) + 0.5) * 2.0**-53 - 0.5  # on (-1/2, 1/2)
-    return float(-b * np.sign(u) * np.log1p(-2.0 * abs(u)))
+    u = ((h >> 11) + 0.5) * 2.0**-53 - 0.5  # on (-1/2, 1/2]
+    return float(-b * np.sign(u) * np.log1p(-2.0 * min(abs(u), 0.5 - 2.0**-54)))
 
 
 def disagreement(x: np.ndarray, gauge: np.ndarray) -> float:
@@ -63,15 +63,15 @@ def step(x, graph, sched, noise_sched, k: int, omega: np.ndarray | None = None) 
     return out
 
 
-def epsilon_finite_chunked(sched, noise, c_min: float, delta: float, horizon: int) -> float:
-    """Privacy loss sum_{k=1}^T S(k)/b(k) in whole-chunk arrays, one horizon per pass."""
+def epsilon_finite_blocked(sched, noise, c_min: float, delta: float, horizon: int) -> float:
+    """Privacy loss sum_{k=1}^T S(k)/b(k) in whole ``_BLOCK`` arrays, one horizon per pass."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     total = 0.0
     running = 1.0  # prod of contraction factors consumed so far
     k = 1
     while k <= horizon:
-        hi = min(horizon, k + _CHUNK - 1)
+        hi = min(horizon, k + _BLOCK - 1)
         cp = np.cumprod(1.0 - c_min * sched.alpha(np.arange(k - 1, hi, dtype=float)))
         s_vals = delta * running * np.concatenate(([1.0], cp[:-1]))
         b_vals = noise.scale(np.arange(k, hi + 1))

@@ -14,7 +14,7 @@ from dpconsensus.noise import (
     stream_keys,
 )
 
-from oracles import laplace_sample
+from oracles import _splitmix, laplace_sample
 
 
 def _bulk(seed, n, b=1.0, run=0, agent=0):
@@ -108,6 +108,33 @@ def test_in_place_draw_fills_the_callers_buffer_with_the_stream(seed, runs, n, k
     wrapped = laplace_from_keys(keys, step, scale)
     assert np.array_equal(wrapped, draw)
     assert isinstance(wrapped, np.float64) if shape == () else wrapped.shape == shape
+
+
+def _unmix(h: int) -> int:
+    """The z with ``_splitmix(z) == h``: each xorshift undone, each multiplier inverted mod 2**64."""
+    for shift, mult in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9)):
+        z = h
+        for _ in range(64 // shift):
+            z = h ^ (z >> shift)
+        h = (z * pow(mult, -1, 2**64)) & (2**64 - 1)
+    z = h
+    for _ in range(64 // 30):
+        z = h ^ (z >> 30)
+    return (z - 0x9E3779B97F4A7C15) & (2**64 - 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h, sign", [(2**64 - 1, 1.0), (0, -1.0)], ids=["top", "bottom"])
+def test_extreme_hashes_draw_finite_tails(h, sign):
+    # The top hash's u = (2^53 - 1 + 1/2) 2^-53 - 1/2 rounds to 1/2; the draw
+    # takes |u| = 1/2 - 2^-54, as the bottom hash does, so both tails are
+    # 53 ln 2 at b = 1.
+    prefix = _splitmix(_splitmix(5) ^ 2)  # stream_keys(5, 0, 2)
+    step = prefix ^ _unmix(h)
+    assert _splitmix(prefix ^ step) == h
+    draw = laplace_from_keys(stream_keys(5, 0, 2), np.uint64(step), 1.0)
+    assert draw == laplace_sample(5, 0, 2, step, 1.0)
+    assert draw == pytest.approx(sign * 53 * math.log(2), rel=1e-15)
 
 
 def test_moments_at_unit_scale():

@@ -9,7 +9,7 @@ from dpconsensus import check_structural_balance, privacy, spectrum
 from dpconsensus.experiments import named_config
 from dpconsensus.schedules import ConstantNoise, PowerNoise, PowerStep
 
-from oracles import apply_update, epsilon_finite_chunked
+from oracles import apply_update, epsilon_finite_blocked
 
 
 def offset1_noise(b_floor, gamma, a2):
@@ -58,11 +58,11 @@ class TestAccountingProperties:
         assert privacy.sensitivity_series(k, sched, c_min, delta)[-1] == series[k - 1]
 
 
-# Horizons on either side of block and chunk boundaries, or anywhere in the first two chunks.
-_EDGES = (1, privacy._BLOCK, 2 * privacy._BLOCK, privacy._CHUNK, 2 * privacy._CHUNK)
+# Horizons on either side of block edges, or anywhere in the first three blocks.
+_EDGES = (1, privacy._BLOCK, 2 * privacy._BLOCK, 3 * privacy._BLOCK)
 _HORIZON = st.one_of(
     st.builds(lambda edge, d: max(1, edge + d), st.sampled_from(_EDGES), st.integers(-2, 2)),
-    st.builds(lambda chunk, off: chunk * privacy._CHUNK + off, st.integers(0, 1), st.integers(1, privacy._CHUNK)),
+    st.builds(lambda block, off: block * privacy._BLOCK + off, st.integers(0, 2), st.integers(1, privacy._BLOCK)),
 )
 
 
@@ -77,7 +77,7 @@ class _ZeroAt:
 
 
 class TestStreamedAccounting:
-    """One pass to the largest horizon equals a chunked pass per horizon, bit for bit."""
+    """One pass to the largest horizon equals a blocked pass per horizon, bit for bit."""
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(
@@ -86,38 +86,39 @@ class TestStreamedAccounting:
         hs=st.lists(_HORIZON, min_size=1, max_size=4),
         data=st.data(),
     )
-    def test_report_and_finite_equal_chunked_oracle(self, setup, offset, hs, data):
+    def test_report_and_finite_equal_blocked_oracle(self, setup, offset, hs, data):
         sched, noise, c_min, delta = setup
         noise = PowerNoise(noise.b_floor, noise.gamma, noise.a2, offset=offset)
         hs = data.draw(st.permutations(hs + hs[:1]))  # unsorted, with a repeat
-        expected = [epsilon_finite_chunked(sched, noise, c_min, delta, h) for h in hs]
+        expected = [epsilon_finite_blocked(sched, noise, c_min, delta, h) for h in hs]
         rep = privacy.privacy_report(sched, noise, c_min, delta, horizons=hs)
         assert list(rep.epsilon_at) == expected
         assert [privacy.epsilon_finite(sched, noise, c_min, delta, h) for h in hs] == expected
 
     @pytest.mark.parametrize(
         "noise, finite",
-        [(offset1_noise(0.0, 0.1, 1.0), 0), (_ZeroAt(privacy._CHUNK + 5), 3)],
+        [(offset1_noise(0.0, 0.1, 1.0), 0), (_ZeroAt(privacy._BLOCK + 5), 3)],
         ids=["b_floor-0", "zero-mid-stream"],
     )
     def test_zero_scale_is_infinite_from_its_step_on(self, noise, finite):
         sched = PowerStep(0.3, 1.0, 1.0)
-        hs = (privacy._BLOCK + 1, 1, privacy._CHUNK + 4, privacy._CHUNK + 5, 3 * privacy._CHUNK)
+        hs = (privacy._BLOCK + 1, 1, privacy._BLOCK + 4, privacy._BLOCK + 5, 3 * privacy._BLOCK)
         rep = privacy.privacy_report(sched, noise, 1.0, 1.0, horizons=hs)
-        expected = [epsilon_finite_chunked(sched, noise, 1.0, 1.0, h) for h in hs]
+        expected = [epsilon_finite_blocked(sched, noise, 1.0, 1.0, h) for h in hs]
         assert list(rep.epsilon_at) == expected
         assert sum(map(math.isfinite, expected)) == finite
         assert not rep.infinity.convergent
         assert [privacy.epsilon_finite(sched, noise, 1.0, 1.0, h) for h in hs] == expected
 
     def test_early_stop_once_sensitivity_underflows(self):
-        # At beta = 1/2, S(k) ~ exp(-sqrt(k)) drops below 1e-300 inside the
-        # first chunk, so every longer horizon stops there.
+        # At beta = 1/2, S(k) ~ exp(-sqrt(k)) drops below 1e-300 after about
+        # 476,000 steps, so the pass stops at the end of that block and every
+        # longer horizon stops there.
         sched = PowerStep(0.5, 1.0, 0.5)
         noise = offset1_noise(1.0, 0.5, 1.0)
-        hs = (10_000_000, 1000, 3 * privacy._CHUNK + 17, privacy._CHUNK + 1)
+        hs = (10_000_000, 1000, 3_000_017, 1_000_001)
         rep = privacy.privacy_report(sched, noise, 1.0, 1.0, horizons=hs)
-        expected = [epsilon_finite_chunked(sched, noise, 1.0, 1.0, h) for h in hs]
+        expected = [epsilon_finite_blocked(sched, noise, 1.0, 1.0, h) for h in hs]
         assert list(rep.epsilon_at) == expected
         assert expected[0] == expected[2] == expected[3] > expected[1]
 
@@ -225,10 +226,10 @@ class TestEpsilonFinite:
         noise = PowerNoise(b_floor=0.0, gamma=0.0, a2=1.0, offset=1)
         assert privacy.epsilon_finite(sched, noise, 1.0, 1.0, 10) == math.inf
 
-    def test_long_horizon_chunking(self):
+    def test_long_horizon_early_stop(self):
         # With beta < 1 the sensitivity decays like exp(-sqrt(k)) and
         # underflows well before 2M steps, triggering the early break; the
-        # loss must then agree across horizons spanning chunk boundaries.
+        # loss must then agree across horizons many blocks apart.
         sched = PowerStep(0.5, 1.0, 0.5)
         noise = offset1_noise(1.0, 0.5, 1.0)
         short = privacy.epsilon_finite(sched, noise, 1.0, 1.0, 2_000_000)
@@ -433,33 +434,57 @@ def _shipped_accounting(name):
     return cfg.step, noise, c_min, cfg.design.delta if cfg.design else 1.0
 
 
-_FIG2A_PIN = ("0x1.40bf18195d969p+4", "0x1.423706bb49e12p+8", "0x1.3f747b1e10d90p+12", "0x1.3df51ea7cd33cp+14")
+_FIG2A_PIN = ("0x1.40bf18195d969p+4", "0x1.423706bb49e12p+8", "0x1.3f747b1e10d6ep+12", "0x1.3df51ea7cd2e2p+14")
+
+# (sched, noise, c_min, delta) builders for the pinned setups, by test id.
+_PINNED_SETUPS = {
+    "fig2a": lambda: _shipped_accounting("fig2a"),
+    "fig2_caption": lambda: _shipped_accounting("fig2_caption"),
+    "fig3a": lambda: _shipped_accounting("fig3a"),
+    "sec4_text": lambda: _shipped_accounting("sec4_text"),
+    "beta-0.8": lambda: (PowerStep(0.7, 1.5, 0.8), offset1_noise(2.0, -0.3, 1.5), 0.9, 0.5),
+    "offset1-a2-0.6": lambda: (PowerStep(0.4, 0.6, 1.0), offset1_noise(1.0, 0.2, 0.6), 1.0, 1.0),
+}
 
 
 @pytest.mark.parametrize(
     "setup, pinned",
     [
-        (lambda: _shipped_accounting("fig2a"), _FIG2A_PIN),
-        (lambda: _shipped_accounting("fig2_caption"), _FIG2A_PIN),
-        (lambda: _shipped_accounting("fig3a"), ("0x1.0000000000000p+0",) * 4),
+        (_PINNED_SETUPS["fig2a"], _FIG2A_PIN),
+        (_PINNED_SETUPS["fig2_caption"], _FIG2A_PIN),
+        (_PINNED_SETUPS["fig3a"], ("0x1.0000000000000p+0",) * 4),
         (
-            lambda: _shipped_accounting("sec4_text"),
-            ("0x1.1163ec0c27f09p+3", "0x1.be669bb013780p+5", "0x1.61f1844ba0120p+8", "0x1.bccc7462ab4e4p+9"),
+            _PINNED_SETUPS["sec4_text"],
+            ("0x1.1163ec0c27f09p+3", "0x1.be669bb013780p+5", "0x1.61f1844ba00edp+8", "0x1.bccc7462ab4e5p+9"),
         ),
         (
-            lambda: (PowerStep(0.7, 1.5, 0.8), offset1_noise(2.0, -0.3, 1.5), 0.9, 0.5),
-            ("0x1.564c6ecbacb80p+1", "0x1.c5662f09ce3acp+1", "0x1.c576b7c947630p+1", "0x1.c576b7c94763ep+1"),
+            _PINNED_SETUPS["beta-0.8"],
+            ("0x1.564c6ecbacb80p+1", "0x1.c5662f09ce3acp+1", "0x1.c576b7c947633p+1", "0x1.c576b7c947640p+1"),
         ),
         (
-            lambda: (PowerStep(0.4, 0.6, 1.0), offset1_noise(1.0, 0.2, 0.6), 1.0, 1.0),
-            ("0x1.61ffdadeca80cp+2", "0x1.05a67c9079f9bp+5", "0x1.984029c4da0b6p+7", "0x1.000d05d35f361p+9"),
+            _PINNED_SETUPS["offset1-a2-0.6"],
+            ("0x1.61ffdadeca80cp+2", "0x1.05a67c9079f9bp+5", "0x1.984029c4da0d2p+7", "0x1.000d05d35f550p+9"),
         ),
     ],
-    ids=["fig2a", "fig2_caption", "fig3a", "sec4_text", "beta-0.8", "offset1-a2-0.6"],
+    ids=list(_PINNED_SETUPS),
 )
 def test_report_epsilon_pinned_bit_for_bit(setup, pinned):
-    # The chunked oracle calls the same alpha and scale, so it cannot see a
+    # The blocked oracle calls the same alpha and scale, so it cannot see a
     # change in how they round; these pins, at the default horizons up to
     # T = 1e7, can.
     rep = privacy.privacy_report(*setup())
     assert tuple(e.hex() for e in rep.epsilon_at) == pinned
+
+
+@pytest.mark.parametrize("setup", list(_PINNED_SETUPS.values()), ids=list(_PINNED_SETUPS))
+def test_epsilon_across_blocks_matches_fsum(setup):
+    # An independent sum: S(k) by sequential scalar products, b(k) one step
+    # at a time, and an exactly rounded total; it shares none of the
+    # streamed pass's grouping.
+    sched, noise, c_min, delta = setup()
+    t = 3 * privacy._BLOCK + 17
+    terms, s_k = [], delta
+    for k in range(1, t + 1):
+        terms.append(s_k / noise.scale(k))
+        s_k *= 1.0 - c_min * sched.alpha(k - 1)
+    assert privacy.epsilon_finite(sched, noise, c_min, delta, t) == pytest.approx(math.fsum(terms), rel=1e-12, abs=0)
