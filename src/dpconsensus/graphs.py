@@ -6,8 +6,6 @@ import importlib.resources
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 __all__ = [
     "SignedGraph",
@@ -53,8 +51,7 @@ class SignedGraph:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        # csgraph converts dense input slowly; a CSR copy is cheaper even at n = 5.
-        if csgraph.connected_components(sparse.csr_array(w), directed=False, return_labels=False) != 1:
+        if not _bfs_gauge(w).all():
             raise DisconnectedGraphError("graph induced by nonzero weights is not connected")
 
     @property
@@ -99,6 +96,27 @@ class GraphSpectrum:
         object.__setattr__(self, "degree_square_sum", float((self.degrees**2).sum()))
 
 
+def _bfs_gauge(w: np.ndarray) -> np.ndarray:
+    """Signs propagated from agent 1 along a BFS tree of ``w``; 0 where unreached.
+
+    Level-synchronous: each level is one vectorised step.  A new agent's
+    parent is the first agent of the frontier, in queue order, that touches
+    it, and the next frontier is ordered by parent, then by index.  That is
+    the tree a FIFO queue builds when it visits neighbours in index order.
+    """
+    s = np.zeros(len(w))
+    s[0] = 1.0
+    frontier = np.array([0])
+    while frontier.size:
+        hit = w[frontier] != 0.0
+        new = np.flatnonzero(hit.any(axis=0) & (s == 0.0))
+        first = hit[:, new].argmax(axis=0)
+        parent = frontier[first]
+        s[new] = s[parent] * np.sign(w[parent, new])
+        frontier = new[np.argsort(first, kind="stable")]
+    return s
+
+
 def check_structural_balance(g: SignedGraph) -> np.ndarray:
     """Two-color the sign pattern into a gauge vector ``s`` with entries +-1.
 
@@ -106,22 +124,14 @@ def check_structural_balance(g: SignedGraph) -> np.ndarray:
     normalized so that agent 1 carries +1.  Raises
     :class:`StructurallyUnbalancedError` when no such coloring exists.
 
-    The gauge is read off a BFS spanning tree: its signed lift, with nodes
-    ``(i, +)`` and ``(i, -)`` and an edge from ``(i, σ)`` to
-    ``(j, σ·sgn a_ij)`` for each tree edge, splits into exactly two
-    components, and ``s_j`` is +1 where ``(j, +)`` shares agent 1's.
+    The gauge is the only candidate: ``s`` is fixed along a breadth-first
+    spanning tree from agent 1, each agent taking its parent's sign times
+    the sign of the tree edge.  One vectorized check of every edge then
+    accepts it or names the first edge, in row-major order, that it leaves
+    negative.
     """
-    n = g.n
     w = g.weights
-    tree = csgraph.breadth_first_tree(sparse.csr_array(w), 0, directed=False).tocoo()
-    # Node i of the lift is (i, +) and node i + n is (i, -); a negative tree
-    # edge crosses between the two copies.
-    cross = n * (tree.data < 0)
-    rows = np.concatenate([tree.row, tree.row + n])
-    cols = np.concatenate([tree.col + cross, tree.col + n - cross])
-    lift = sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
-    _, labels = csgraph.connected_components(lift, directed=False)
-    s = np.where(labels[:n] == labels[0], 1.0, -1.0)
+    s = _bfs_gauge(w)
     bad = np.argwhere(s[:, None] * w * s[None, :] < 0)  # row-major: the first has i < j
     if len(bad):
         i, j = bad[0]

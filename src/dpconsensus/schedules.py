@@ -48,8 +48,8 @@ class PowerStep:
     def __post_init__(self):
         if not 0 <= self.a1 < math.inf:
             raise ValueError("a1 must be finite and >= 0")
-        if not 0 <= self.a2 < math.inf:
-            raise ValueError("a2 must be finite and >= 0")
+        if not 0 < self.a2 < math.inf:
+            raise ValueError("a2 must be finite and > 0")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
 
@@ -182,8 +182,8 @@ def sum_alpha2_b2_bound(step: PowerStep, noise: PowerNoise) -> float:
     """Closed-form upper bound on ``sum_{k>=0} alpha(k)^2 b(k)^2``.
 
     Valid for the matched-shift convention (noise offset 0, shared a2) with
-    gamma < beta - 1/2 and a2 > 0; this is the quantity the accuracy design
-    condition compares against the target.
+    gamma < beta - 1/2 (a power step has a2 > 0); this is the quantity the
+    accuracy design condition compares against the target.
     """
     if noise.offset != 0 or noise.a2 != step.a2:
         raise ValueError("bound requires the offset-0 noise convention with shared a2")
@@ -191,8 +191,6 @@ def sum_alpha2_b2_bound(step: PowerStep, noise: PowerNoise) -> float:
         return 0.0
     if noise.gamma >= step.beta - 0.5:
         raise DivergentSeriesError("gamma >= beta - 1/2: series diverges")
-    if step.a2 <= 0:
-        raise ValueError("a2 must be > 0")
     a1, a2, beta, bf, gamma = step.a1, step.a2, step.beta, noise.b_floor, noise.gamma
     integral = a1**2 * bf**2 * a2 ** (2 * gamma - 2 * beta + 1) / (2 * beta - 2 * gamma - 1)
     first = a1**2 * bf**2 * a2 ** (2 * gamma) / a2 ** (2 * beta)

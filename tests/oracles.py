@@ -1,10 +1,13 @@
-"""Reference forms of the consensus update and the privacy loss, used only as test oracles."""
+"""Reference forms of the balance gauge, the consensus update and the privacy loss, used only as test oracles."""
 
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from dpconsensus.engine import DIVERGENCE_LIMIT, DivergenceError
+from dpconsensus.graphs import DisconnectedGraphError, StructurallyUnbalancedError
 from dpconsensus.privacy import _BLOCK
 
 _U64 = 2**64 - 1
@@ -28,6 +31,38 @@ def laplace_sample(seed: int, run: int, agent: int, step: int, b: float) -> floa
     h = _splitmix(_splitmix(_splitmix((int(seed) + int(run)) & _U64) ^ int(agent)) ^ int(step))
     u = ((h >> 11) + 0.5) * 2.0**-53 - 0.5  # on (-1/2, 1/2]
     return float(-b * np.sign(u) * np.log1p(-2.0 * min(abs(u), 0.5 - 2.0**-54)))
+
+
+def gauge_csgraph(w: np.ndarray) -> np.ndarray:
+    """The balance gauge of weight matrix ``w`` from ``scipy.sparse.csgraph``.
+
+    Connectivity first, then the BFS spanning tree from agent 1 and its signed
+    lift: nodes ``(i, +)`` and ``(i, -)``, an edge from ``(i, σ)`` to
+    ``(j, σ·sgn a_ij)`` for each tree edge, and ``s_j = +1`` where ``(j, +)``
+    shares agent 1's component.  Raises what ``SignedGraph`` and
+    ``check_structural_balance`` raise, with the same messages.
+    """
+    n = len(w)
+    a = sparse.csr_array(w)
+    if csgraph.connected_components(a, directed=False, return_labels=False) != 1:
+        raise DisconnectedGraphError("graph induced by nonzero weights is not connected")
+    tree = csgraph.breadth_first_tree(a, 0, directed=False).tocoo()
+    # Node i of the lift is (i, +) and node i + n is (i, -); a negative tree
+    # edge crosses between the two copies.
+    cross = n * (tree.data < 0)
+    rows = np.concatenate([tree.row, tree.row + n])
+    cols = np.concatenate([tree.col + cross, tree.col + n - cross])
+    lift = sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
+    _, labels = csgraph.connected_components(lift, directed=False)
+    s = np.where(labels[:n] == labels[0], 1.0, -1.0)
+    bad = np.argwhere(s[:, None] * w * s[None, :] < 0)
+    if len(bad):
+        i, j = bad[0]
+        raise StructurallyUnbalancedError(
+            f"graph is not structurally balanced: edge ({i + 1},{j + 1}) "
+            "is inconsistent with any two-camp split"
+        )
+    return s
 
 
 def disagreement(x: np.ndarray, gauge: np.ndarray) -> float:

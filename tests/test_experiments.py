@@ -296,14 +296,15 @@ class TestCompareBaselines:
         assert not verdicts["protocol"].biased
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a cold start; the rate fit does without it,
-    # and imports scipy.special only when it runs.
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy's import is most of a cold start. The graph layer finds its gauge
+    # with NumPy, the rate fit does without scipy.stats, and scipy.special is
+    # imported only when a fit runs.
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, dpconsensus.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+    code = "import sys, dpconsensus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestCli:
@@ -478,7 +479,7 @@ class TestCli:
             (
                 ["privacy", "sweep"],
                 minimal_doc(step={"kind": "power", "a1": 0.3, "a2": math.inf, "beta": 1.0}),
-                "power step block: a2 must be finite and >= 0",
+                "power step block: a2 must be finite and > 0",
             ),
             *(
                 (["rates"], minimal_doc(**{key: math.inf}), "cannot convert float infinity to integer")
@@ -702,6 +703,16 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(p)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"config error: allow_unvalidated must be true or false, got {flag!r}\n"
+
+    @pytest.mark.parametrize("command", [["simulate"], ["rates"], ["privacy", "report"]])
+    def test_power_step_with_a2_zero_is_config_error(self, tmp_path, capsys, command):
+        # alpha(0) = a1 / 0 is infinite, so the schedule has no first step.
+        doc = copy.deepcopy(shipped_doc("sec4_text"))
+        doc["step"]["a2"] = 0
+        p = tmp_path / "a2zero.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main([*command, "--config", str(p)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: power step block: a2 must be finite and > 0\n"
 
 
 SHIPPED = ("fig2a", "fig2_caption", "fig3a", "sec4_text")

@@ -16,6 +16,7 @@ from dpconsensus.graphs import (
 )
 
 from conftest import random_balanced_graph
+from oracles import gauge_csgraph
 
 # Frozen from an independent dense eigensolve of the fig1a gauge Laplacian.
 FIG1A_LAMBDA2 = 0.8299135133739667
@@ -102,6 +103,24 @@ def test_unbalanced_triangle_rejected():
         check_structural_balance(g)
 
 
+@pytest.mark.parametrize(
+    "n, edges, bad",
+    [
+        (3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, -1.0)], "(2,3)"),
+        # A BFS that took each agent's lowest-index neighbour as its parent
+        # would name (4,7); the queue-order tree names (3,5).
+        (7, [(1, 2, -1), (1, 4, 1), (1, 7, -1), (2, 6, 1), (3, 4, -1), (3, 5, -1), (4, 7, 1), (5, 6, 1)], "(3,5)"),
+    ],
+    ids=["triangle", "queue-order"],
+)
+def test_unbalanced_message_names_first_edge_off_the_bfs_gauge(n, edges, bad):
+    with pytest.raises(StructurallyUnbalancedError) as exc:
+        check_structural_balance(SignedGraph.from_edges(n, edges))
+    assert str(exc.value) == (
+        f"graph is not structurally balanced: edge {bad} is inconsistent with any two-camp split"
+    )
+
+
 def test_construction_errors():
     with pytest.raises(DisconnectedGraphError):
         SignedGraph.from_edges(4, [(1, 2, 1.0), (3, 4, 1.0)])
@@ -184,3 +203,41 @@ def test_flipping_a_cycle_edge_unbalances(graph, pick):
     w[i, j] = w[j, i] = -w[i, j]
     with pytest.raises(StructurallyUnbalancedError, match="^graph is not structurally balanced"):
         check_structural_balance(SignedGraph(w))
+
+
+@st.composite
+def signed_graphs(draw):
+    """Random signed graphs with n from 2 to 40: balanced, unbalanced or disconnected."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["balanced", "unbalanced", "disconnected"]))
+    p = draw(st.floats(0.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    camps = rng.choice([-1.0, 1.0], size=n)
+    signs = np.outer(camps, camps)
+    if kind == "unbalanced":
+        signs[rng.random((n, n)) < 0.2] *= -1.0
+    support = rng.random((n, n)) < p
+    if kind != "disconnected":  # a random spanning path keeps it connected
+        order = rng.permutation(n)
+        support[order[:-1], order[1:]] = True
+        support[order[1:], order[:-1]] = True
+    w = np.triu(np.where(support, rng.uniform(0.5, 2.0, size=(n, n)) * signs, 0.0), 1)
+    return w + w.T
+
+
+def _outcome(w, gauge_of):
+    try:
+        return gauge_of(w)
+    except (DisconnectedGraphError, StructurallyUnbalancedError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(signed_graphs())
+def test_gauge_and_errors_match_csgraph_oracle(w):
+    got = _outcome(w, lambda w: check_structural_balance(SignedGraph(w)))
+    want = _outcome(w, gauge_csgraph)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
