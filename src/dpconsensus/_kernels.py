@@ -7,9 +7,12 @@ a block of steps at a time.  A block holds about ``_BLOCK_ELEMENTS`` draws,
 batch shape.  The state recursion itself stays one step at a time.
 
 Every array the size of a block or of the batch state is allocated once per
-call and reused: the draws and the drive of each block, two states that swap
-each step, and one scratch state for the |x| checks and the records.  No
-step or block allocates a temporary of that size.
+call and reused: the draws and the drive of each block, a stash of the
+block's recorded states, two states that swap each step, and one scratch
+state for the |x| checks.  No step or block allocates a temporary of that
+size.  A recorded state is only copied into the stash during the block; the
+block's records are reduced together once it ends, in the summation order
+of one record at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .noise import laplace_into, stream_keys
 
 _BLOCK_ELEMENTS = 2**16
 DIVERGENCE_LIMIT = 1e12
+# Sum-of-squares screen for the divergence check, below the limit squared by
+# far more than the dot product's rounding error.
+_SCREEN = (DIVERGENCE_LIMIT * (1 - 2.0**-20)) ** 2
 
 
 @dataclass
@@ -63,7 +69,8 @@ def simulate(
         np.asarray(run_ids, dtype=np.uint64)[:, None],
         np.arange(n, dtype=np.uint64)[None, :],
     )
-    rec = np.asarray(record_idx).tolist()
+    rec = np.asarray(record_idx)
+    rec_list = rec.tolist() + [None]  # the sentinel matches no step
     n_rec = len(rec)
     tail_from = t_total if tail_start is None else tail_start
 
@@ -83,27 +90,40 @@ def simulate(
     block = max(1, _BLOCK_ELEMENTS // (m * n))
     draws = np.empty((block, m, n), dtype=np.uint64)
     drives = np.empty((block, m, n), dtype=np.uint64)
+    stash = np.empty((block, m, n))
     x_new = np.empty_like(x)
     scratch = np.empty_like(x)
 
-    def record(pos, omega=None, with_y=False):
-        # Dead runs hold zeros or values within the limit (the divergence
-        # check resets them), so rows are computed whole and dead ones masked.
-        z = np.multiply(x, gauge, out=scratch)
-        mu = z.mean(axis=1)
-        dev = np.subtract(z, mu[:, None], out=z)
-        v[:, pos] = np.where(alive, np.square(dev, out=dev).sum(axis=1), np.nan)
-        if not alive[0]:
-            return
-        gmean[pos] = mu[0]
-        x_rec[pos] = x[0]
-        if with_y:
-            y_rec[pos] = x[0] if omega is None else x[0] + omega[0]
+    def flush(pos, count, k0=0, omega=None, noisy=None):
+        """Records pos, ..., pos + count - 1 from the stash; y where ``noisy`` is given.
+
+        A run is alive at record k unless it diverged at a step <= k.  Dead
+        runs hold zeros (the divergence check resets them), so rows are
+        reduced whole and dead ones masked.
+        """
+        s, sl = stash[:count], slice(pos, pos + count)
+        ks = rec[sl]
+        live = (diverged_at < 0) | (diverged_at > ks[:, None])
+        live0 = live[:, 0]
+        x_rec[sl][live0] = s[live0, 0]
+        if noisy is not None:
+            y = s[:, 0].copy()
+            if omega is not None:
+                js = ks - k0
+                np.add(y, omega[js, 0], out=y, where=noisy[js, None])
+            y_rec[sl][live0] = y[live0]
+        z = np.multiply(s, gauge, out=s)
+        mu = z.mean(axis=-1)
+        dev = np.subtract(z, mu[..., None], out=z)
+        v[:, sl] = np.where(live, np.square(dev, out=dev).sum(axis=-1), np.nan).T
+        gmean[sl][live0] = mu[live0, 0]
 
     for k0 in range(0, t_total, block):
         k1 = min(k0 + block, t_total)
         b = bscale[k0:k1]
-        noisy = (b > 0.0).tolist()
+        noisy_block = b > 0.0
+        noisy = noisy_block.tolist()
+        omega = None
         if any(noisy):
             # (B, M, n) draws and their fold alpha(k) * (w(k) @ A^T), one matmul per block.
             steps = np.arange(k0, k1, dtype=np.uint64)[:, None, None]
@@ -111,9 +131,10 @@ def simulate(
             # The draw's scratch is dead now, so the drive takes its place.
             drive = np.matmul(omega, at, out=drives[: k1 - k0].view(np.float64))
             drive *= alpha[k0:k1, None, None]
+        pos0 = rec_pos
         for j, k in enumerate(range(k0, k1)):
-            if rec_pos < n_rec and rec[rec_pos] == k:
-                record(rec_pos, omega[j] if noisy[j] else None, with_y=True)
+            if k == rec_list[rec_pos]:
+                stash[rec_pos - pos0] = x
                 rec_pos += 1
             # x - alpha(k) * (x @ L^T) + drive, in place: the same roundings.
             np.matmul(x, lt, out=x_new)
@@ -125,15 +146,21 @@ def simulate(
                 delta = np.abs(np.subtract(x_new, x, out=scratch), out=scratch).max(axis=1)
                 np.maximum(max_tail_delta, delta, where=alive, out=max_tail_delta)
             x, x_new = x_new, x
-            # One reduction over the whole batch; NaN fails the test and
-            # falls through to the per-run check.
-            if not np.abs(x, out=scratch).max() <= DIVERGENCE_LIMIT:
-                bad = alive & ~(scratch.max(axis=1) <= DIVERGENCE_LIMIT)
-                diverged_at[bad] = k + 1
-                alive &= ~bad
-                x[~alive] = 0.0
-    if rec_pos < n_rec and rec[rec_pos] == t_total:
-        record(rec_pos)
+            # The sum of squares bounds every |x_i| with room for its rounding,
+            # so only a state that fails it (NaN and inf included) needs the
+            # max |x| reduction, and only one that fails that the per-run check.
+            # np.vdot, unlike np.dot, overflows to inf without a RuntimeWarning.
+            if not np.vdot(x, x) <= _SCREEN:
+                if not np.abs(x, out=scratch).max() <= DIVERGENCE_LIMIT:
+                    bad = alive & ~(scratch.max(axis=1) <= DIVERGENCE_LIMIT)
+                    diverged_at[bad] = k + 1
+                    alive &= ~bad
+                    x[~alive] = 0.0
+        if rec_pos > pos0:
+            flush(pos0, rec_pos - pos0, k0, omega, noisy_block)
+    if rec_list[rec_pos] == t_total:
+        stash[0] = x
+        flush(rec_pos, 1)
 
     return KernelResult(
         v=v,

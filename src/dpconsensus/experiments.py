@@ -323,18 +323,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Aggrega
     ok = res.diverged_at < 0
     v = res.v[ok]
     terminal = (res.x_final[ok] * gauge).mean(axis=1)
+    v_mean = v.mean(axis=0)
+    v_q10, v_q50, v_q90 = np.quantile(v, [0.1, 0.5, 0.9], axis=0)
     rate = None
     if cfg.horizon >= 100:
         try:
-            rate = estimate_rate(ks, v.mean(axis=0), (cfg.horizon / 10, cfg.horizon))
+            rate = estimate_rate(ks, v_mean, (cfg.horizon / 10, cfg.horizon))
         except (ValueError, NonpositiveValuesError):
             rate = None
     report = AggregateReport(
         ks=ks,
-        v_mean=v.mean(axis=0),
-        v_q10=np.quantile(v, 0.1, axis=0),
-        v_q50=np.quantile(v, 0.5, axis=0),
-        v_q90=np.quantile(v, 0.9, axis=0),
+        v_mean=v_mean,
+        v_q10=v_q10,
+        v_q50=v_q50,
+        v_q90=v_q90,
         terminal_gauge_mean=float(terminal.mean()),
         terminal_gauge_var=float(terminal.var(ddof=1)) if len(terminal) > 1 else 0.0,
         initial_gauge_mean=float((np.asarray(cfg.x0) * gauge).mean()),
@@ -356,19 +358,13 @@ def _write_artifacts(report, res, out_dir, cfg) -> None:
     if cfg.noise is not None:
         cols += [f"y_{i + 1}" for i in range(n)]
         states.append(res.y_rec)
-    with open(os.path.join(out_dir, "trajectory_000.csv"), "w") as f:
-        f.write(",".join(cols) + "\n")
-        for idx, k in enumerate(report.ks):
-            row = [str(int(k)), repr(float(res.v[0, idx])), repr(float(res.gmean[idx]))]
-            row += [repr(float(v)) for s in states for v in s[idx]]
-            f.write(",".join(row) + "\n")
-    with open(os.path.join(out_dir, "aggregate.csv"), "w") as f:
-        f.write("k,v_mean,v_q10,v_q50,v_q90\n")
-        for i, k in enumerate(report.ks):
-            f.write(
-                f"{int(k)},{float(report.v_mean[i])!r},{float(report.v_q10[i])!r},"
-                f"{float(report.v_q50[i])!r},{float(report.v_q90[i])!r}\n"
-            )
+    _write_csv(os.path.join(out_dir, "trajectory_000.csv"), cols, report.ks, [res.v[0], res.gmean, *states])
+    _write_csv(
+        os.path.join(out_dir, "aggregate.csv"),
+        ["k", "v_mean", "v_q10", "v_q50", "v_q90"],
+        report.ks,
+        [report.v_mean, report.v_q10, report.v_q50, report.v_q90],
+    )
     doc = {
         "config": cfg.raw,
         "seed": cfg.seed,
@@ -391,6 +387,19 @@ def _write_artifacts(report, res, out_dir, cfg) -> None:
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _write_csv(path, header, ks, columns) -> None:
+    """A header line, then per record step k and the columns' values at it.
+
+    Each value is the repr of a Python float, the text of ``repr(float(v))``;
+    rows are converted one at a time, as a whole-table list would take
+    megabytes.
+    """
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for k, row in zip(ks.tolist(), np.column_stack(columns)):
+            f.write(",".join(map(repr, [k, *row.tolist()])) + "\n")
 
 
 @dataclass

@@ -52,6 +52,8 @@ class PowerStep:
             raise ValueError("a2 must be finite and > 0")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
+        if not math.isfinite(self.alpha(0)):  # a subnormal a2 overflows it
+            raise ValueError("alpha(0) = a1 / a2**beta must be finite")
 
     def alpha(self, k):
         if np.ndim(k) == 0:

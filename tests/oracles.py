@@ -1,4 +1,5 @@
-"""Reference forms of the balance gauge, the consensus update and the privacy loss, used only as test oracles."""
+"""Reference forms of the balance gauge, the consensus update, the privacy loss and the
+CSV artifacts, used only as test oracles."""
 
 import math
 
@@ -118,3 +119,29 @@ def epsilon_finite_blocked(sched, noise, c_min: float, delta: float, horizon: in
             break
         k = hi + 1
     return total
+
+
+def artifact_csvs(report, res, noisy: bool) -> dict[str, bytes]:
+    """``trajectory_000.csv`` and ``aggregate.csv``, each value formatted as ``repr(float(v))``
+    from its NumPy scalar, one at a time; y columns only when ``noisy``."""
+    n = res.x_rec.shape[1]
+    cols = ["k", "V", "gauge_mean"] + [f"x_{i + 1}" for i in range(n)]
+    states = [res.x_rec]
+    if noisy:
+        cols += [f"y_{i + 1}" for i in range(n)]
+        states.append(res.y_rec)
+    traj = [",".join(cols)]
+    for idx, k in enumerate(report.ks):
+        row = [str(int(k)), repr(float(res.v[0, idx])), repr(float(res.gmean[idx]))]
+        row += [repr(float(v)) for s in states for v in s[idx]]
+        traj.append(",".join(row))
+    agg = ["k,v_mean,v_q10,v_q50,v_q90"]
+    for i, k in enumerate(report.ks):
+        agg.append(
+            f"{int(k)},{float(report.v_mean[i])!r},{float(report.v_q10[i])!r},"
+            f"{float(report.v_q50[i])!r},{float(report.v_q90[i])!r}"
+        )
+    return {
+        "trajectory_000.csv": ("\n".join(traj) + "\n").encode(),
+        "aggregate.csv": ("\n".join(agg) + "\n").encode(),
+    }

@@ -250,6 +250,43 @@ def test_kernel_matches_stepwise_reference(
         assert not dead.any()
 
 
+_LIMIT = engine.DIVERGENCE_LIMIT
+
+
+# a1 = 0 and zero noise hold x(k) = x0, so a run diverges at step 1 or never.
+@pytest.mark.parametrize(
+    "graph, x0, diverged_at",
+    [
+        ("fig1a", [_LIMIT, 0.0, 0.0, 0.0, 0.0], -1),
+        ("fig1a", [np.nextafter(_LIMIT, np.inf), 0.0, 0.0, 0.0, 0.0], 1),
+        # Equal entries keep V = 0, so no record overflows; the sum of squares does.
+        ("two", [1e200, 1e200], 1),
+        ("fig1a", [np.nan, 0.0, 0.0, 0.0, 0.0], 1),
+        ("fig1a", [0.9 * _LIMIT] * 5, -1),  # sum of squares 4.05e24 > 1e24, every entry below
+    ],
+    ids=["at-limit", "next-above-limit", "1e200", "nan", "squares-above-limit"],
+)
+def test_divergence_screen_matches_per_entry_check(fig1a, gauge1a, graph, x0, diverged_at):
+    """The sum-of-squares screen changes no verdict of the max |x| check, and warns of nothing."""
+    graph, gauge = (fig1a, gauge1a) if graph == "fig1a" else (TWO_PLUS, np.ones(2))
+    frozen, silent = PowerStep(0.0, 1.0, 1.0), PowerNoise(0.0, 0.1)
+    t, runs = 30, 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, res = run_many(
+            x0, graph, gauge, frozen, silent, t, runs, record_idx=record_points(t, 1), tail_start=20
+        )
+        want = _reference_batch(x0, graph, gauge, frozen, silent, t, runs, 20, 1)
+    _, ref_diverged_at, v, x_final, x_rec, y_rec, tail = want
+    np.testing.assert_array_equal(res.diverged_at, np.full(runs, diverged_at))
+    np.testing.assert_array_equal(res.diverged_at, ref_diverged_at)
+    np.testing.assert_array_equal(res.v, v)
+    np.testing.assert_array_equal(res.x_final, x_final)
+    np.testing.assert_array_equal(res.x_rec, x_rec[0])
+    np.testing.assert_array_equal(res.y_rec, y_rec[0])
+    np.testing.assert_array_equal(res.max_tail_delta, tail)
+
+
 def test_stability_warning(fig1a, gauge1a, x0):
     with pytest.warns(RuntimeWarning, match="transiently amplify"):
         run_many(x0, fig1a, gauge1a, PowerStep(1.0, 1.0, 0.9), None, 10, runs=1)

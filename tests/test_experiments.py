@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpconsensus import cli, engine, experiments
-from dpconsensus.graphs import fixture_graph
+from dpconsensus.graphs import check_structural_balance, fixture_graph
 from dpconsensus.noise import laplace_matrix
 from dpconsensus.experiments import (
     ConfigError,
@@ -36,6 +36,8 @@ from dpconsensus.schedules import (
     PowerNoise,
     PowerStep,
 )
+
+from oracles import artifact_csvs
 
 
 def minimal_doc(**over):
@@ -191,8 +193,6 @@ class TestRunExperiment:
     def test_aggregates_recomputable(self):
         cfg = config_from_dict(minimal_doc(runs=12, horizon=300))
         rep = run_experiment(cfg)
-        from dpconsensus.graphs import check_structural_balance
-
         gauge = check_structural_balance(cfg.graph)
         vs = []
         for r in range(12):
@@ -230,6 +230,28 @@ class TestRunExperiment:
         run_experiment(config_from_dict(minimal_doc(runs=4, horizon=120, noise=None)), out_dir=str(quiet))
         header = (quiet / "trajectory_000.csv").read_text().splitlines()[0]
         assert header == "k,V,gauge_mean,x_1,x_2,x_3,x_4,x_5"
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"noise": None},
+            {
+                "graph": {"n": 7, "edges": [[1, 2, 1.0], [2, 3, -0.5], [3, 4, 0.8], [4, 5, 1.0],
+                                            [5, 6, -1.0], [6, 7, 0.7], [1, 7, 0.3]]},
+                "x0": [10.0, -8.0, 6.0, -4.0, 2.0, 0.5, -1e-3],
+            },
+        ],
+        ids=["noiseless", "noisy-n7"],
+    )
+    def test_csv_files_equal_the_row_formatter(self, tmp_path, over):
+        cfg = config_from_dict(minimal_doc(runs=4, horizon=150, **over))
+        rep = run_experiment(cfg, out_dir=str(tmp_path))
+        _, res = engine.run_many(
+            cfg.x0, cfg.graph, check_structural_balance(cfg.graph), cfg.step, cfg.noise,
+            cfg.horizon, cfg.runs, seed=cfg.seed, record_idx=engine.record_points(cfg.horizon, cfg.stride),
+        )
+        want = artifact_csvs(rep, res, noisy=cfg.noise is not None)
+        assert {name: (tmp_path / name).read_bytes() for name in want} == want
 
     def test_seed_override_changes_draws(self):
         cfg = config_from_dict(minimal_doc(runs=4))
@@ -713,6 +735,17 @@ class TestCli:
         p.write_text(json.dumps(doc))
         assert cli.main([*command, "--config", str(p)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: power step block: a2 must be finite and > 0\n"
+
+    @pytest.mark.parametrize("command", [["simulate"], ["rates"], ["privacy", "report"]])
+    def test_power_step_with_subnormal_a2_is_config_error(self, tmp_path, capsys, command):
+        # a2 > 0, but alpha(0) = 0.5 / 1e-310 overflows to inf.
+        doc = copy.deepcopy(shipped_doc("sec4_text"))
+        doc["step"]["a2"] = 1e-310
+        p = tmp_path / "a2subnormal.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main([*command, "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: power step block: alpha(0) = a1 / a2**beta must be finite\n"
 
 
 SHIPPED = ("fig2a", "fig2_caption", "fig3a", "sec4_text")

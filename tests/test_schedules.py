@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpconsensus.schedules import (
@@ -54,6 +54,10 @@ def test_power_step_monotone():
 def test_power_step_validation():
     with pytest.raises(ValueError, match="a2 must be finite and > 0"):
         PowerStep(0.3, 0, 1)  # alpha(0) = a1 / 0
+    with pytest.raises(ValueError, match=r"alpha\(0\) = a1 / a2\*\*beta must be finite"):
+        PowerStep(0.5, 1e-310, 1.0)  # a2 > 0, but a1 / a2 overflows
+    assert PowerStep(0.0, 1e-310, 1.0).alpha(0) == 0.0  # no step size at all is finite
+    assert math.isfinite(PowerStep(0.5, 1e-310, 0.5).alpha(0))  # 0.5 / 1e-155
     with pytest.raises(ValueError):
         PowerStep(1, 1, 0.0)
     with pytest.raises(ValueError):
@@ -136,11 +140,12 @@ def _step_arrays(draw):
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     a1=st.floats(0.0, 5.0),
-    a2=_A2.filter(lambda v: v > 0),  # a power step needs alpha(0) = a1 / a2**beta finite
+    a2=_A2.filter(lambda v: v > 0),
     beta=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.01, 1.0)),
     ks=_step_arrays(),
 )
 def test_array_alpha_equals_scalar_formula_bit_for_bit(a1, a2, beta, ks):
+    assume(math.isfinite(a1 / a2**beta))  # a power step needs alpha(0) = a1 / a2**beta finite
     got = PowerStep(a1, a2, beta).alpha(ks)
     assert got.dtype == np.float64
     assert np.array_equal(got, [_alpha_ref(a1, a2, beta, k) for k in ks.tolist()])
