@@ -53,6 +53,13 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _offset1_noise(b_floor, gamma, a2) -> PowerNoise:
+    try:
+        return PowerNoise(b_floor, gamma, a2, offset=1)
+    except ValueError as exc:
+        raise experiments.ConfigError(f"accounting noise: {exc}") from exc
+
+
 def _privacy_schedules(cfg, args):
     if not isinstance(cfg.step, PowerStep):
         raise experiments.ConfigError("privacy accounting needs a power step schedule")
@@ -60,7 +67,7 @@ def _privacy_schedules(cfg, args):
     if not isinstance(noise, PowerNoise):
         raise experiments.ConfigError("privacy accounting needs power-law noise")
     if noise.offset != 1 or noise.a2 != cfg.step.a2:
-        noise = PowerNoise(noise.b_floor, noise.gamma, cfg.step.a2, offset=1)
+        noise = _offset1_noise(noise.b_floor, noise.gamma, cfg.step.a2)
         print("note: noise schedule coerced to the offset-1 convention for accounting")
     delta = args.delta
     if delta is None:
@@ -85,7 +92,7 @@ def _cmd_privacy(args) -> int:
     else:  # sweep over gamma
         print("gamma   epsilon_inf_bound   case        ms_exponent")
         for g in designer._gammas_for(sched.beta, {}):
-            n = PowerNoise(noise.b_floor, g, sched.a2, offset=1)
+            n = _offset1_noise(noise.b_floor, g, sched.a2)
             try:
                 b = privacy.epsilon_infinity_bound(sched, n, stats.c_min, delta)
                 val, case = f"{b.value:.6g}", b.case

@@ -321,10 +321,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Aggrega
     if out_dir is not None and res.diverged_at[0] >= 0:
         raise engine.DivergenceError(int(res.diverged_at[0]))  # trajectory_000.csv is run 0
     ok = res.diverged_at < 0
-    v = res.v[ok]
+    v0 = res.v[0].copy()  # trajectory_000.csv's V, before the quantile reorders res.v
+    v = res.v if ok.all() else res.v[ok]  # the batch's one (M, R) matrix unless a run diverged
     terminal = (res.x_final[ok] * gauge).mean(axis=1)
-    v_mean = v.mean(axis=0)
-    v_q10, v_q50, v_q90 = np.quantile(v, [0.1, 0.5, 0.9], axis=0)
+    v_mean = v.mean(axis=0)  # first: the partition below reorders each column's sum
+    v_q10, v_q50, v_q90 = np.quantile(v, [0.1, 0.5, 0.9], axis=0, overwrite_input=True)
     rate = None
     if cfg.horizon >= 100:
         try:
@@ -345,12 +346,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Aggrega
         runs=cfg.runs,
     )
     if out_dir is not None:
-        _write_artifacts(report, res, out_dir, cfg)
+        _write_artifacts(report, res, v0, out_dir, cfg)
     return report
 
 
-def _write_artifacts(report, res, out_dir, cfg) -> None:
-    """report.json, aggregate.csv and trajectory_000.csv (run 0 of the batch; y only with noise)."""
+def _write_artifacts(report, res, v0, out_dir, cfg) -> None:
+    """report.json, aggregate.csv and trajectory_000.csv (run 0 of the batch, V ``v0``; y only with noise)."""
     os.makedirs(out_dir, exist_ok=True)
     n = res.x_rec.shape[1]
     cols = ["k", "V", "gauge_mean"] + [f"x_{i + 1}" for i in range(n)]
@@ -358,7 +359,7 @@ def _write_artifacts(report, res, out_dir, cfg) -> None:
     if cfg.noise is not None:
         cols += [f"y_{i + 1}" for i in range(n)]
         states.append(res.y_rec)
-    _write_csv(os.path.join(out_dir, "trajectory_000.csv"), cols, report.ks, [res.v[0], res.gmean, *states])
+    _write_csv(os.path.join(out_dir, "trajectory_000.csv"), cols, report.ks, [v0, res.gmean, *states])
     _write_csv(
         os.path.join(out_dir, "aggregate.csv"),
         ["k", "v_mean", "v_q10", "v_q50", "v_q90"],

@@ -30,6 +30,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _U53 = 2.0**-53
 _U_MAX = 0.5 - 2.0**-54  # |u| of the top and bottom hashes, exactly
+_SIGN = np.uint64(1 << 63)
 
 
 def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -64,17 +65,17 @@ def laplace_into(keys: np.ndarray, step: np.ndarray, b, out: np.ndarray, tmp: np
     with np.errstate(over="ignore"):
         _mix(np.bitwise_xor(keys, step, out=out), tmp)
     out >>= np.uint64(11)
-    u = np.add(out, 0.5, out=tmp.view(np.float64))  # the top 53 bits as a float ...
+    u = np.add(out.view(np.int64), 0.5, out=tmp.view(np.float64))  # the top 53 bits as a float ...
     u *= _U53
     u -= 0.5  # ... on (-1/2, 1/2]
-    # Inverse CDF of Lap(0, b), branch-free: -b * sign(u) * log1p(-2|u|).
-    draw = np.sign(u, out=out.view(np.float64))
-    np.multiply(-b, draw, out=draw)
+    # Inverse CDF of Lap(0, b), branch-free: -b * sign(u) * log1p(-2|u|), with
+    # -b * log1p(-2|u|) >= +0 and u's sign bit laid over it.
+    sign = np.bitwise_and(u.view(np.uint64), _SIGN, out=out)
     np.abs(u, out=u)
     np.minimum(u, _U_MAX, out=u)  # the top hash's u rounds up to 1/2
     np.multiply(-2.0, u, out=u)
-    draw *= np.log1p(u, out=u)
-    return draw
+    np.multiply(np.log1p(u, out=u), -b, out=u)
+    return np.bitwise_or(u.view(np.uint64), sign, out=out).view(np.float64)
 
 
 def laplace_from_keys(keys: np.ndarray, step, b) -> np.ndarray:

@@ -102,6 +102,16 @@ class PowerNoise:
             raise ValueError("offset must be 0 or 1")
         if not 0 <= self.a2 < math.inf:
             raise ValueError("a2 must be finite and >= 0")
+        for k in range(3):  # the schedule starts by k = 2, where the base is >= 1
+            base = k + self.a2 - self.offset
+            if base > 0:
+                break
+        try:  # a subnormal a2 overflows b there
+            finite = math.isfinite(self.b_floor * base**self.gamma)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("b_floor * (k + a2 - offset)**gamma must be finite where the schedule starts")
 
     def scale(self, k):
         base = np.add(k, self.a2, dtype=float)

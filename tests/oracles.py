@@ -1,5 +1,5 @@
-"""Reference forms of the balance gauge, the consensus update, the privacy loss and the
-CSV artifacts, used only as test oracles."""
+"""Reference forms of the balance gauge, the consensus update, the privacy loss, the batch
+aggregate and the CSV artifacts, used only as test oracles."""
 
 import math
 
@@ -119,6 +119,12 @@ def epsilon_finite_blocked(sched, noise, c_min: float, delta: float, horizon: in
             break
         k = hi + 1
     return total
+
+
+def aggregate_by_copy(v: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mean and 10/50/90% quantiles over each record of the rows ``ok`` of ``v``, on a copy."""
+    kept = v[ok]
+    return (kept.mean(axis=0), *np.quantile(kept, [0.1, 0.5, 0.9], axis=0))
 
 
 def artifact_csvs(report, res, noisy: bool) -> dict[str, bytes]:

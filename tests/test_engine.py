@@ -250,6 +250,48 @@ def test_kernel_matches_stepwise_reference(
         assert not dead.any()
 
 
+@pytest.mark.parametrize("n, runs", [(5, 1), (17, 40)], ids=["one-run", "n17"])
+def test_block_drive_rounds_as_one_step_at_a_time(n, runs):
+    """A block's drive keeps the bits of its steps' own products.
+
+    On OpenBLAS one 2-D product over the whole block, (B * M, n) @ (n, n),
+    rounds otherwise in both cases: for one run NumPy hands each step's
+    single row to gemv, and at n = 17 a gemm of B * M rows takes other
+    kernels than one of M rows.
+    """
+    w, _ = random_balanced_graph(np.random.default_rng(n), n)
+    graph = SignedGraph(w)
+    gauge = check_structural_balance(graph)
+    x0 = np.linspace(-10.0, 10.0, n)
+    sched, noise = PowerStep(0.5 / graph.degrees.max(), 1, 1), PowerNoise(1, 0.1, 1, 1)
+    t = 400
+    _, res = run_many(x0, graph, gauge, sched, noise, t, runs, record_idx=record_points(t, 10))
+    _, _, v, x_final, x_rec, y_rec, _ = _reference_batch(x0, graph, gauge, sched, noise, t, runs, t, 10)
+    np.testing.assert_array_equal(res.v, v)
+    np.testing.assert_array_equal(res.x_final, x_final)
+    np.testing.assert_array_equal(res.x_rec, x_rec[0])
+    np.testing.assert_array_equal(res.y_rec, y_rec[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 31])
+def test_row_sum_is_numpys_row_sum_bit_for_bit(n):
+    """``row_sum`` and ``row_sum / n`` give the bits of NumPy's last-axis sum and mean.
+
+    Rows of -0.0 sum to +0.0 in NumPy, so they are mixed in, and the values
+    span enough magnitudes that any other summation order rounds differently.
+    """
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((6, 50, n)) * 10.0 ** rng.integers(-12, 12, size=(6, 50, n))
+    z[0, :10] = -0.0
+    z[1, :10, 0] = -0.0
+    z[2, :10] = 0.0
+    z[2, :5, -1] = -0.0
+    for got, want in [(_kernels.row_sum(z), z.sum(axis=-1)), (_kernels.row_sum(z) / n, z.mean(axis=-1))]:
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(z.sum(axis=-1)[0, :10]).sum() == 0  # NumPy's +0.0, which row_sum must keep
+
+
 _LIMIT = engine.DIVERGENCE_LIMIT
 
 

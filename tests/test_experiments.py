@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpconsensus import cli, engine, experiments
+from dpconsensus import _kernels, cli, engine, experiments
 from dpconsensus.graphs import check_structural_balance, fixture_graph
 from dpconsensus.noise import laplace_matrix
 from dpconsensus.experiments import (
@@ -37,7 +38,7 @@ from dpconsensus.schedules import (
     PowerStep,
 )
 
-from oracles import artifact_csvs
+from oracles import aggregate_by_copy, artifact_csvs
 
 
 def minimal_doc(**over):
@@ -269,6 +270,53 @@ class TestRunExperiment:
         with pytest.raises(experiments.ExperimentDivergence):
             with pytest.warns(RuntimeWarning):
                 run_experiment(cfg)
+
+
+@pytest.mark.filterwarnings("ignore:alpha\\(0\\)\\*c_max:RuntimeWarning")
+@pytest.mark.parametrize("diverged", [(), (7,)], ids=["all-finite", "one-diverged"])
+def test_aggregate_holds_one_batch_matrix(tmp_path, monkeypatch, diverged):
+    """sec4_text at M = 400, T = 1e4: the traced peak holds the (M, R) matrix once.
+
+    Besides V it may hold the kernel's three block buffers and, doubled for
+    temporaries of their sizes, the batch's smaller arrays: three of length T
+    (steps, alpha, b), R * (2n + 8) values for the records (run 0's x and y,
+    the gauge mean, the record steps and their list, the aggregate's rows and
+    run 0's V), and six (M, n) states.  A run that diverged leaves its row
+    out, which takes one copy of V.  Either way the aggregate is the copy's.
+    """
+    cfg = dataclasses.replace(named_config("sec4_text"), runs=400, horizon=10_000)
+    run_many = engine.run_many
+
+    def batch(*args, **kwargs):
+        ks, res = run_many(*args, **kwargs)
+        for r in diverged:  # as the kernel leaves a run that diverged at step 5000
+            res.diverged_at[r] = 5000
+            res.v[r, ks >= 5000] = np.nan
+            res.x_final[r] = np.nan
+        return ks, res
+
+    run_experiment(dataclasses.replace(cfg, runs=2, horizon=200))  # lazy imports outside the trace
+    monkeypatch.setattr(engine, "run_many", batch)
+    tracemalloc.start()
+    try:
+        rep = run_experiment(cfg, out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ks, res = batch(
+        cfg.x0, cfg.graph, check_structural_balance(cfg.graph), cfg.step, cfg.noise,
+        cfg.horizon, cfg.runs, seed=cfg.seed, record_idx=engine.record_points(cfg.horizon, cfg.stride),
+    )
+    assert rep.diverged == len(diverged)
+    oracle = aggregate_by_copy(res.v, res.diverged_at < 0)
+    for got, want in zip((rep.v_mean, rep.v_q10, rep.v_q50, rep.v_q90), oracle):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = artifact_csvs(rep, res, noisy=True)
+    assert {name: (tmp_path / name).read_bytes() for name in want} == want
+    t, r, m, n = cfg.horizon, len(ks), cfg.runs, cfg.graph.n
+    slack = 2 * 8 * (3 * t + r * (2 * n + 8) + 6 * m * n)
+    held = (2 if diverged else 1) * res.v.nbytes
+    assert peak <= held + 3 * 8 * _kernels._BLOCK_ELEMENTS + slack
 
 
 def _decile_draws_per_step(noise, seed, runs, n, t, first):
@@ -746,6 +794,47 @@ class TestCli:
         assert cli.main([*command, "--config", str(p)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "config error: power step block: alpha(0) = a1 / a2**beta must be finite\n"
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["simulate"], ["rates"], ["privacy", "report"]])
+    def test_power_noise_with_subnormal_a2_is_config_error(self, tmp_path, capsys, command):
+        # b(0) = 1 * (1e-310)**-1 overflows to inf; every run would diverge at step 1.
+        doc = copy.deepcopy(shipped_doc("sec4_text"))
+        doc["noise"].update({"a2": 1e-310, "gamma": -1, "offset": 0})
+        p = tmp_path / "b0inf.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main([*command, "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: power noise block: "
+            "b_floor * (k + a2 - offset)**gamma must be finite where the schedule starts\n"
+        )
+
+    @pytest.mark.parametrize(
+        "mode, step_a2, noise",
+        [
+            # Loaded at offset 0, rebuilt at the step's a2 = 1e300 with offset 1: (1e300 - 1)**2 overflows.
+            ("report", 1e300, {"gamma": 2, "offset": 0}),
+            ("sweep", 1e300, {"gamma": 2, "offset": 0}),
+            # Accounted as loaded, but the sweep's gamma = +0.1 takes b_floor * (1e6 - 1)**0.1 past the top.
+            ("sweep", 1e6, {"a2": 1e6, "gamma": -0.5, "b_floor": 1e308}),
+        ],
+        ids=["report-rebuild", "sweep-rebuild", "sweep-gamma"],
+    )
+    def test_accounting_noise_overflow_is_config_error(self, tmp_path, capsys, mode, step_a2, noise):
+        doc = copy.deepcopy(shipped_doc("sec4_text"))
+        doc["step"]["a2"] = step_a2
+        doc["noise"].update(noise)
+        doc["allow_unvalidated"] = True
+        p = tmp_path / "rebuilt.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["privacy", mode, "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: accounting noise: "
+            "b_floor * (k + a2 - offset)**gamma must be finite where the schedule starts\n"
+        )
 
 
 SHIPPED = ("fig2a", "fig2_caption", "fig3a", "sec4_text")

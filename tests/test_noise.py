@@ -137,6 +137,36 @@ def test_extreme_hashes_draw_finite_tails(h, sign):
     assert draw == pytest.approx(sign * 53 * math.log(2), rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_draws_keep_the_oracles_sign_bits():
+    """At the u = +0 hash and in b = 0 rows a draw is a zero with the oracle's sign bit.
+
+    The hash 2^63 gives u = (2^52 + 1/2) 2^-53 - 1/2, which rounds to +0, so
+    the draw is +0 at any b; a b = 0 draw is -0 where u < 0 and +0 where u > 0.
+    """
+    prefix = _splitmix(_splitmix(5) ^ 2)  # stream_keys(5, 0, 2)
+    zero_step = prefix ^ _unmix(2**63)
+    assert _splitmix(prefix ^ zero_step) == 2**63
+    step_list = [zero_step, zero_step, 0, 1, 2, 3, 4, 5]
+    scale_list = [1.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0]
+    runs, n = np.arange(3), 4
+    keys = stream_keys(5, runs[:, None], np.arange(n)[None, :])
+    steps = np.array(step_list, dtype=np.uint64)[:, None, None]
+    scales = np.array(scale_list)[:, None, None]
+    shape = (len(step_list), len(runs), n)
+    draw = laplace_into(keys, steps, scales, np.empty(shape, np.uint64), np.empty(shape, np.uint64))
+    want = np.array(
+        [
+            [[laplace_sample(5, r, a, k, b) for a in range(n)] for r in runs.tolist()]
+            for k, b in zip(step_list, scale_list)
+        ]
+    )
+    np.testing.assert_array_equal(draw.view(np.uint64), want.view(np.uint64))
+    assert draw[0, 0, 2] == draw[1, 0, 2] == 0.0 and not np.signbit(draw[:2, 0, 2]).any()
+    zeros = draw[np.array(scale_list) == 0.0]
+    assert (zeros == 0.0).all() and 0 < np.signbit(zeros).sum() < zeros.size  # both signed zeros
+
+
 def test_moments_at_unit_scale():
     # Lap(0, 1) has mean 0 and variance 2; tolerances sized for n = 1e6.
     big = np.concatenate(

@@ -160,9 +160,37 @@ def test_array_alpha_equals_scalar_formula_bit_for_bit(a1, a2, beta, ks):
     ks=_step_arrays(),
 )
 def test_array_scale_equals_scalar_formula_bit_for_bit(b_floor, gamma, a2, offset, ks):
-    got = PowerNoise(b_floor, gamma, a2, offset).scale(ks)
+    try:
+        noise = PowerNoise(b_floor, gamma, a2, offset)
+    except ValueError:  # a subnormal a2 overflows b where the schedule starts
+        assume(False)
+    got = noise.scale(ks)
     assert got.dtype == np.float64
     assert np.array_equal(got, [_scale_ref(b_floor, gamma, a2, offset, k) for k in ks.tolist()])
+
+
+@pytest.mark.parametrize(
+    "b_floor, gamma, a2, offset",
+    [
+        (1.0, -1.0, 2.2e-309, 0),
+        (0.0, -1.0, 2.2e-309, 0),
+        (1.0, -1.0, 1e-310, 0),
+        (1.0, 2.0, 1e300, 0),
+        (1e308, 0.5, 5.0, 1),
+    ],
+    ids=["subnormal-a2-inf", "subnormal-a2-nan", "subnormal-a2-offset0", "huge-base", "huge-b-floor"],
+)
+def test_power_noise_needs_a_finite_first_scale(b_floor, gamma, a2, offset):
+    """b where the schedule starts must be finite, as alpha(0) must for a power step."""
+    with pytest.raises(ValueError, match="must be finite where the schedule starts"):
+        PowerNoise(b_floor, gamma, a2, offset)
+
+
+def test_power_noise_starts_where_its_base_turns_positive():
+    # Offset 1 with a subnormal a2: (1 + a2) - 1 rounds to 0, so b starts at k = 2.
+    np.testing.assert_array_equal(PowerNoise(1.0, -1.0, 1e-310, 1).scale(np.arange(4)), [0.0, 0.0, 1.0, 0.5])
+    np.testing.assert_array_equal(PowerNoise(2.0, -1.0, 1.0, 1).scale(np.arange(3)), [0.0, 2.0, 1.0])
+    assert PowerNoise(0.0, -1.0, 0.0, 1).scale(5) == 0.0
 
 
 def test_scalar_calls_keep_their_types():
