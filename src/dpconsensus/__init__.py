@@ -23,8 +23,6 @@ from .graphs import (
     spectrum,
 )
 from .schedules import (
-    AssumptionVerdict,
-    ConstantNoise,
     DivergentSeriesError,
     GeometricNoise,
     GeometricStep,

@@ -88,15 +88,15 @@ def _accuracy_rhs(target: DesignTarget, stats: GraphSpectrum) -> float:
 def check_accuracy_design(
     target: DesignTarget, sched: PowerStep, nsched: PowerNoise, stats: GraphSpectrum
 ) -> tuple[bool, float]:
-    """Sufficient closed-form accuracy condition; margin = RHS - LHS."""
-    if not isinstance(nsched, PowerNoise) or nsched.offset != 0 or nsched.a2 != sched.a2:
-        raise ValueError(
-            "the accuracy condition assumes b(k) = b_floor*(k + a2)^gamma "
-            "with the same a2 as the step-size schedule"
-        )
+    """Sufficient closed-form accuracy condition; margin = RHS - LHS.
+
+    The bound checks the noise convention; it is 0 at a1 = 0 whatever gamma,
+    so the divergence test is repeated here.
+    """
+    lhs = sum_alpha2_b2_bound(sched, nsched)
     if nsched.gamma >= sched.beta - 0.5:
         raise DivergentSeriesError("gamma >= beta - 1/2: limit variance diverges")
-    margin = _accuracy_rhs(target, stats) - sum_alpha2_b2_bound(sched, nsched)
+    margin = _accuracy_rhs(target, stats) - lhs
     return margin >= 0.0, margin
 
 

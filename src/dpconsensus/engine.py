@@ -21,13 +21,7 @@ from . import _kernels
 from ._kernels import DIVERGENCE_LIMIT
 from .graphs import SignedGraph
 from .noise import DEFAULT_SEED
-from .schedules import (
-    ConstantNoise,
-    DivergentSeriesError,
-    GeometricNoise,
-    PowerNoise,
-    PowerStep,
-)
+from .schedules import DivergentSeriesError, GeometricNoise, PowerNoise, PowerStep
 
 __all__ = [
     "LimitStatistics",
@@ -146,15 +140,6 @@ def _series_sum_and_tail(sched: PowerStep, noise, k_trunc: int) -> tuple[float, 
     elif isinstance(noise, GeometricNoise):
         a_next = sched.alpha(k_trunc + 1)
         tail = a_next**2 * noise.c**2 * noise.q ** (2 * (k_trunc + 1)) / (1 - noise.q**2)
-    elif isinstance(noise, ConstantNoise):
-        if sched.beta <= 0.5:
-            raise DivergentSeriesError("beta <= 1/2 with constant noise: series diverges")
-        tail = (
-            noise.b**2
-            * sched.a1**2
-            * (k_trunc + sched.a2) ** (1 - 2 * sched.beta)
-            / (2 * sched.beta - 1)
-        )
     else:
         raise TypeError(f"unsupported noise schedule {type(noise).__name__}")
     ks = np.arange(k_trunc + 1)

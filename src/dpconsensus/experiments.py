@@ -22,14 +22,7 @@ from . import engine
 from .designer import DesignTarget
 from .graphs import SignedGraph, check_structural_balance, fixture_graph, spectrum
 from .noise import DEFAULT_SEED, laplace_from_keys, stream_keys
-from .schedules import (
-    ConstantNoise,
-    GeometricNoise,
-    GeometricStep,
-    PowerNoise,
-    PowerStep,
-    validate_assumptions,
-)
+from .schedules import GeometricNoise, GeometricStep, PowerNoise, PowerStep, validate_assumptions
 
 __all__ = [
     "ConfigError",
@@ -66,7 +59,7 @@ class NonpositiveValuesError(ValueError):
 # The class of a schedule block, by its role (its place in the document) and its kind.
 _SCHEDULE_KINDS = {
     "step": {"power": PowerStep, "geometric": GeometricStep},
-    "noise": {"power": PowerNoise, "geometric": GeometricNoise, "constant": ConstantNoise},
+    "noise": {"power": PowerNoise, "geometric": GeometricNoise},
 }
 
 
@@ -88,13 +81,12 @@ def _assumption_gate(step, noise, allow_unvalidated: bool, label: str = "") -> N
         return
     if not isinstance(step, PowerStep):
         raise ConfigError(f"{label}non-power step schedules require allow_unvalidated")
-    if noise is not None:
-        verdict = validate_assumptions(step, noise)
-        if not verdict.satisfies_a:
-            raise ConfigError(
-                f"{label}schedule pair fails the convergence assumptions ({verdict.reason}); "
-                "set allow_unvalidated to run it anyway"
-            )
+    reason = None if noise is None else validate_assumptions(step, noise)
+    if reason is not None:
+        raise ConfigError(
+            f"{label}schedule pair fails the convergence assumptions ({reason}); "
+            "set allow_unvalidated to run it anyway"
+        )
 
 
 @dataclass(frozen=True)
@@ -136,6 +128,15 @@ class ExperimentConfig:
         if not np.isfinite(np.asarray(self.x0, dtype=float)).all():
             raise ConfigError("initial state x0 must be finite")
         _assumption_gate(self.step, self.noise, self.allow_unvalidated)
+        # Every noise family is monotone in k and checks where it starts, so a
+        # finite b at the last step k = T - 1 keeps b finite on every step.
+        for label, noise in [("", self.noise), *((f"baseline {b.name!r}: ", b.noise) for b in self.baselines)]:
+            if noise is None:
+                continue
+            with np.errstate(over="ignore"):
+                last = noise.scale(self.horizon - 1)
+            if not math.isfinite(last):
+                raise ConfigError(f"{label}noise scale b({self.horizon - 1}) = {last:g} is not finite")
 
 
 def _integer(v) -> int:

@@ -25,7 +25,6 @@ from .special import log_scaled_upper_gamma
 __all__ = [
     "EpsilonBound",
     "PrivacyReport",
-    "sensitivity_series",
     "epsilon_finite",
     "epsilon_infinity_bound",
     "check_epsilon_design",
@@ -67,12 +66,6 @@ def _contraction(sched: PowerStep, c_min: float, ls: np.ndarray) -> np.ndarray:
     x = sched.alpha(ls)
     x *= c_min
     return np.subtract(1.0, x, out=x)
-
-
-def sensitivity_series(t: int, sched: PowerStep, c_min: float, delta: float) -> np.ndarray:
-    """S(1), ..., S(t) as one array."""
-    factors = _contraction(sched, c_min, np.arange(max(t - 1, 0)))
-    return delta * np.concatenate(([1.0], np.cumprod(factors)))[:t]
 
 
 def _epsilon_at(sched: PowerStep, noise, c_min: float, delta: float, horizons) -> tuple[float, ...]:

@@ -1,9 +1,11 @@
 """Step-size and noise-scale families and their summability checks.
 
-Step sizes are power schedules ``alpha(k) = a1 / (k + a2)**beta``; privacy
-noise scales come in power, geometric and constant flavors.  The power noise
-carries an explicit ``offset`` in {0, 1} because the accuracy condition is
-stated with ``b(k) = b_floor * (k + a2)**gamma`` while the privacy bounds use
+Step sizes are power schedules ``alpha(k) = a1 / (k + a2)**beta``.  Privacy
+noise scales are power schedules, whose variance grows (gamma > 0), stays
+constant (gamma = 0; constant noise b is ``PowerNoise(b, 0.0, a2=1.0)``) or
+decays (gamma < 0), or the geometric baseline.  The power noise carries an
+explicit ``offset`` in {0, 1} because the accuracy condition is stated with
+``b(k) = b_floor * (k + a2)**gamma`` while the privacy bounds use
 ``b(k) = b_floor * (k + a2 - 1)**gamma``; both conventions must be
 representable exactly.
 
@@ -24,8 +26,6 @@ __all__ = [
     "GeometricStep",
     "PowerNoise",
     "GeometricNoise",
-    "ConstantNoise",
-    "AssumptionVerdict",
     "validate_assumptions",
     "sum_alpha2_b2_bound",
     "step_product_bound",
@@ -143,51 +143,22 @@ class GeometricNoise:
         return self.c * self.q**k
 
 
-@dataclass(frozen=True)
-class ConstantNoise:
-    b: float
+def validate_assumptions(step: PowerStep, noise) -> str | None:
+    """Why the schedule pair fails the summability condition (a), or None if it holds.
 
-    def __post_init__(self):
-        if not 0 < self.b < math.inf:
-            raise ValueError("b must be finite and > 0")
-
-    def scale(self, k):
-        return np.full(np.shape(k), self.b, dtype=float) if np.ndim(k) else self.b
-
-
-@dataclass(frozen=True)
-class AssumptionVerdict:
-    """Which of the summability conditions (a) and (b) the pair satisfies."""
-
-    satisfies_a: bool
-    satisfies_b: bool
-    reason: str
-
-
-def validate_assumptions(step: PowerStep, noise) -> AssumptionVerdict:
-    """Symbolic verdict on the summability conditions for a schedule pair.
-
-    Condition (a): sum alpha = inf, alpha -> 0, sum alpha^2 b^2 < inf.
-    Condition (b): additionally sum alpha^2 < inf (i.e. beta > 1/2).
+    Condition (a): sum alpha = inf, alpha -> 0, sum alpha^2 b^2 < inf.  A
+    power step meets the first two; geometric noise decays faster than any
+    power, so only power noise can break the third.
     """
     if not isinstance(step, PowerStep):
         raise TypeError("validate_assumptions expects a power step schedule")
-    sq_summable = step.beta > 0.5
-    if isinstance(noise, PowerNoise):
-        ab_summable = noise.gamma < step.beta - 0.5
-        fail = f"gamma={noise.gamma} >= beta - 1/2 = {step.beta - 0.5}: sum alpha^2 b^2 diverges"
-    elif isinstance(noise, (GeometricNoise, ConstantNoise)):
-        # Geometric scales decay faster than any power; constant scales
-        # reduce the condition to square-summability of the step.
-        ab_summable = True if isinstance(noise, GeometricNoise) else sq_summable
-        fail = "beta <= 1/2: sum alpha^2 diverges and b is constant"
-    else:
+    if isinstance(noise, GeometricNoise):
+        return None
+    if not isinstance(noise, PowerNoise):
         raise TypeError(f"unknown noise schedule {type(noise).__name__}")
-    if not ab_summable:
-        return AssumptionVerdict(False, False, fail)
-    if not sq_summable:
-        return AssumptionVerdict(True, False, f"beta={step.beta} <= 1/2: sum alpha^2 diverges")
-    return AssumptionVerdict(True, True, "both summability conditions hold")
+    if noise.gamma >= step.beta - 0.5:
+        return f"gamma={noise.gamma} >= beta - 1/2 = {step.beta - 0.5}: sum alpha^2 b^2 diverges"
+    return None
 
 
 def sum_alpha2_b2_bound(step: PowerStep, noise: PowerNoise) -> float:
@@ -197,8 +168,11 @@ def sum_alpha2_b2_bound(step: PowerStep, noise: PowerNoise) -> float:
     gamma < beta - 1/2 (a power step has a2 > 0); this is the quantity the
     accuracy design condition compares against the target.
     """
-    if noise.offset != 0 or noise.a2 != step.a2:
-        raise ValueError("bound requires the offset-0 noise convention with shared a2")
+    if not isinstance(noise, PowerNoise) or noise.offset != 0 or noise.a2 != step.a2:
+        raise ValueError(
+            "the bound assumes b(k) = b_floor*(k + a2)^gamma "
+            "with the same a2 as the step-size schedule"
+        )
     if step.a1 == 0:
         return 0.0
     if noise.gamma >= step.beta - 0.5:

@@ -99,6 +99,12 @@ def step(x, graph, sched, noise_sched, k: int, omega: np.ndarray | None = None) 
     return out
 
 
+def sensitivity_series(t: int, sched, c_min: float, delta: float) -> np.ndarray:
+    """S(1), ..., S(t) as one array: S(1) = delta, S(k) = delta * prod_{l<k-1} (1 - c_min * alpha(l))."""
+    factors = 1.0 - c_min * sched.alpha(np.arange(max(t - 1, 0)))
+    return delta * np.concatenate(([1.0], np.cumprod(factors)))[:t]
+
+
 def epsilon_finite_blocked(sched, noise, c_min: float, delta: float, horizon: int) -> float:
     """Privacy loss sum_{k=1}^T S(k)/b(k) in whole ``_BLOCK`` arrays, one horizon per pass."""
     if horizon < 1:

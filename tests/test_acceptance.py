@@ -26,7 +26,7 @@ from dpconsensus.schedules import (
 
 import conftest
 from conftest import random_balanced_graph, upper_incomplete_gamma
-from oracles import apply_update
+from oracles import apply_update, sensitivity_series
 
 X0 = np.array([10.0, -8.0, 6.0, -4.0, 2.0])
 STEP_A = PowerStep(0.3, 1.0, 1.0)  # alpha(k) = 0.3/(k+1)
@@ -185,7 +185,7 @@ def test_criterion_06_sensitivity_correctness():
         exact = delta * math.prod(
             1.0 - sched.alpha(j) * degrees[i0] for j in range(k - 1)
         )
-        bound = privacy.sensitivity_series(k, sched, c_min, delta)[-1]
+        bound = sensitivity_series(k, sched, c_min, delta)[-1]
         worst = max(worst, abs(gap - exact) / max(exact, 1e-30))
         assert gap == pytest.approx(exact, rel=1e-12, abs=1e-15)
         assert gap <= bound * (1 + 1e-12)

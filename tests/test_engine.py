@@ -10,7 +10,6 @@ from dpconsensus.experiments import ExperimentConfig, run_experiment
 from dpconsensus.graphs import SignedGraph, check_structural_balance
 from dpconsensus.noise import DEFAULT_SEED, laplace_matrix
 from dpconsensus.schedules import (
-    ConstantNoise,
     DivergentSeriesError,
     GeometricNoise,
     GeometricStep,
@@ -197,12 +196,12 @@ def _reference_batch(x0, graph, gauge, sched, noise, t, runs, tail_start, stride
 @pytest.mark.parametrize(
     "sched, noise, t, runs, stride, tail_start, block, diverges",
     [
-        (PowerStep(0.7, 1, 0.02), ConstantNoise(1e3), 3001, 40, 10, 2500, 327, "all"),
+        (PowerStep(0.7, 1, 0.02), PowerNoise(1e3, 0.0, a2=1.0), 3001, 40, 10, 2500, 327, "all"),
         (PowerStep(0.7, 1, 0.02), PowerNoise(1e3, 0.1, 1, 1), 3001, 40, 10, 2500, 327, "all"),  # b(0) = 0
         (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 3001, 40, 10, 2500, 327, "none"),
         (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 25, 13_200, 10, 20, 1, "none"),
         (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 655, 40, 10, 600, 327, "none"),
-        (PowerStep(8.7, 1, 1), ConstantNoise(1e3), 60, 1638, 1, 10, 8, "some"),
+        (PowerStep(8.7, 1, 1), PowerNoise(1e3, 0.0, a2=1.0), 60, 1638, 1, 10, 8, "some"),
     ],
     ids=[
         "constant-noise-diverges", "offset1-noise-diverges", "offset1-noise-stable",
@@ -356,7 +355,7 @@ def test_limit_statistics_zero_noise(stats1a, gauge1a, x0):
 
 def test_limit_statistics_basel():
     ls = limit_statistics(
-        [0.0, 0.0], [1.0, 1.0], np.array([1.0, 1.0]), PowerStep(1, 1, 1), ConstantNoise(1.0)
+        [0.0, 0.0], [1.0, 1.0], np.array([1.0, 1.0]), PowerStep(1, 1, 1), PowerNoise(1.0, 0.0, a2=1.0)
     )
     assert ls.limit_variance == pytest.approx(math.pi**2 / 6, rel=1e-6)
     assert ls.limit_variance >= math.pi**2 / 6  # truncation + tail over-bounds

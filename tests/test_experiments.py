@@ -31,7 +31,6 @@ from dpconsensus.experiments import (
     schedule_from_dict,
 )
 from dpconsensus.schedules import (
-    ConstantNoise,
     GeometricNoise,
     GeometricStep,
     PowerNoise,
@@ -67,7 +66,11 @@ class TestScheduleCodec:
             ),
             ({"kind": "geometric", "p": 0.8}, "step", GeometricStep(0.8)),
             ({"kind": "geometric", "c": 1.0, "q": 0.9}, "noise", GeometricNoise(1.0, 0.9)),
-            ({"kind": "constant", "b": 2.0}, "noise", ConstantNoise(2.0)),
+            (
+                {"kind": "power", "b_floor": 2.0, "gamma": 0.0, "a2": 1.0, "offset": 0},
+                "noise",
+                PowerNoise(2.0, 0.0, a2=1.0),
+            ),
         ],
     )
     def test_round_trip(self, sched):
@@ -330,7 +333,7 @@ def _decile_draws_per_step(noise, seed, runs, n, t, first):
 
 @pytest.mark.parametrize(
     "noise",
-    [PowerNoise(1, 0.1, 1, 1), PowerNoise(2, 0.3, 5), GeometricNoise(1, 0.9), ConstantNoise(2.0)],
+    [PowerNoise(1, 0.1, 1, 1), PowerNoise(2, 0.3, 5), GeometricNoise(1, 0.9), PowerNoise(2.0, 0.0, a2=1.0)],
     ids=["power-offset1", "power", "geometric", "constant"],
 )
 @pytest.mark.parametrize("runs, t", [(7, 1000), (80, 257)])
@@ -676,7 +679,8 @@ class TestCli:
     def test_run0_divergence_exits_when_writing_artifacts(self, tmp_path, capsys):
         # At this seed run 0 is the only one of 100 to diverge: the batch is
         # within its 1% tolerance, but trajectory_000.csv cannot be written.
-        doc = minimal_doc(noise={"kind": "constant", "b": 5e11}, horizon=1, runs=100, seed=303)
+        noise = {"kind": "power", "b_floor": 5e11, "gamma": 0.0, "a2": 1.0, "offset": 0}
+        doc = minimal_doc(noise=noise, horizon=1, runs=100, seed=303)
         p = tmp_path / "run0.json"
         p.write_text(json.dumps(doc))
         assert cli.main(["simulate", "--config", str(p)]) == cli.EXIT_OK
@@ -810,6 +814,35 @@ class TestCli:
             "config error: power noise block: "
             "b_floor * (k + a2 - offset)**gamma must be finite where the schedule starts\n"
         )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["simulate"], ["rates"], ["privacy", "report"]])
+    def test_power_noise_overflowing_before_the_horizon_is_config_error(self, tmp_path, capsys, command):
+        # b(1) = 1e308 is finite, but b(99) = 1e308 * 99**0.4 is not: every run would diverge.
+        doc = copy.deepcopy(shipped_doc("sec4_text"))
+        doc["noise"].update({"b_floor": 1e308, "gamma": 0.4})
+        doc.update(horizon=100, runs=3)
+        p = tmp_path / "bTinf.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main([*command, "--config", str(p)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: noise scale b(99) = inf is not finite\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_baseline_noise_overflowing_before_the_horizon_is_config_error(self, tmp_path, capsys):
+        doc = copy.deepcopy(shipped_doc("fig2a"))
+        doc["baselines"][0]["noise"] = {"kind": "power", "b_floor": 1e308, "gamma": 0.4, "a2": 1, "offset": 0}
+        p = tmp_path / "baseline_inf.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["rates", "--config", str(p)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: baseline 'geometric': noise scale b(999) = inf is not finite\n"
+
+    def test_constant_noise_kind_is_config_error(self, tmp_path, capsys):
+        # Constant noise b is power noise with gamma = 0; the loader has no kind of its own for it.
+        p = tmp_path / "constant.json"
+        p.write_text(json.dumps(minimal_doc(noise={"kind": "constant", "b": 2})))
+        assert cli.main(["simulate", "--config", str(p)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: unknown noise schedule kind 'constant' (one of power, geometric)\n"
 
     @pytest.mark.parametrize(
         "mode, step_a2, noise",

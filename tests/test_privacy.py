@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from dpconsensus import check_structural_balance, privacy, spectrum
 from dpconsensus.experiments import named_config
-from dpconsensus.schedules import ConstantNoise, PowerNoise, PowerStep
+from dpconsensus.schedules import PowerNoise, PowerStep
 
-from oracles import apply_update, epsilon_finite_blocked
+from oracles import apply_update, epsilon_finite_blocked, sensitivity_series
 
 
 def offset1_noise(b_floor, gamma, a2):
@@ -54,8 +54,8 @@ class TestAccountingProperties:
         # S(k) alone, as the last entry of a length-k series, is the series' k-th entry.
         sched, _, c_min, delta = setup
         k = data.draw(st.integers(1, t))
-        series = privacy.sensitivity_series(t, sched, c_min, delta)
-        assert privacy.sensitivity_series(k, sched, c_min, delta)[-1] == series[k - 1]
+        series = sensitivity_series(t, sched, c_min, delta)
+        assert sensitivity_series(k, sched, c_min, delta)[-1] == series[k - 1]
 
 
 # Horizons on either side of block edges, or anywhere in the first three blocks.
@@ -126,25 +126,25 @@ class TestStreamedAccounting:
 class TestSensitivity:
     def test_first_step_is_delta(self):
         sched = PowerStep(0.3, 1.0, 1.0)
-        assert privacy.sensitivity_series(1, sched, c_min=2.0, delta=1.0)[-1] == 1.0
-        assert privacy.sensitivity_series(1, sched, c_min=2.0, delta=0.5)[-1] == 0.5
+        assert sensitivity_series(1, sched, c_min=2.0, delta=1.0)[-1] == 1.0
+        assert sensitivity_series(1, sched, c_min=2.0, delta=0.5)[-1] == 0.5
 
     def test_hand_computed_product(self):
         # a1=0.3, a2=1, beta=1, c_min=2: factors (1-0.6), (1-0.3)
         sched = PowerStep(0.3, 1.0, 1.0)
-        got = privacy.sensitivity_series(3, sched, c_min=2.0, delta=1.0)[-1]
+        got = sensitivity_series(3, sched, c_min=2.0, delta=1.0)[-1]
         assert got == pytest.approx(0.4 * 0.7, rel=1e-14)
 
     def test_series_matches_scalar(self):
         sched = PowerStep(0.2, 2.0, 0.8)
-        series = privacy.sensitivity_series(50, sched, c_min=1.5, delta=2.0)
+        series = sensitivity_series(50, sched, c_min=1.5, delta=2.0)
         for k in (1, 2, 10, 50):
             scalar = 2.0 * math.prod(1.0 - 1.5 * sched.alpha(l) for l in range(k - 1))
             assert series[k - 1] == pytest.approx(scalar, rel=1e-13)
 
     def test_monotone_decreasing_when_contractive(self):
         sched = PowerStep(0.4, 1.0, 1.0)
-        series = privacy.sensitivity_series(200, sched, c_min=1.0, delta=1.0)
+        series = sensitivity_series(200, sched, c_min=1.0, delta=1.0)
         assert np.all(np.diff(series) < 0)
         assert np.all(series > 0)
 
@@ -171,7 +171,7 @@ class TestSensitivity:
         x_a = rng.normal(size=5)
         x_b = x_a.copy()
         x_b[agent] += delta
-        series = privacy.sensitivity_series(13, sched, c_min, delta)
+        series = sensitivity_series(13, sched, c_min, delta)
         for k in range(12):
             y = x_a + rng.laplace(scale=1.0, size=5)  # shared observations
             alpha_k = sched.alpha(k)
@@ -195,14 +195,14 @@ class TestEpsilonFinite:
     def test_zero_step_constant_noise(self):
         # alpha == 0 keeps S(k) = delta forever, so epsilon(T) = delta*T/b.
         sched = PowerStep(0.0, 1.0, 1.0)
-        got = privacy.epsilon_finite(sched, ConstantNoise(2.0), 1.0, 1.0, horizon=400)
+        got = privacy.epsilon_finite(sched, PowerNoise(2.0, 0.0, a2=1.0), 1.0, 1.0, horizon=400)
         assert got == pytest.approx(400 / 2.0, rel=1e-13)
 
     def test_matches_naive_sum(self):
         sched = PowerStep(0.3, 1.0, 1.0)
         noise = offset1_noise(1.5, -0.2, 1.0)
         c_min, delta, t = 2.0, 1.3, 500
-        series = privacy.sensitivity_series(t, sched, c_min, delta)
+        series = sensitivity_series(t, sched, c_min, delta)
         naive = sum(series[k - 1] / noise.scale(k) for k in range(1, t + 1))
         got = privacy.epsilon_finite(sched, noise, c_min, delta, t)
         assert got == pytest.approx(naive, rel=1e-12)
@@ -390,7 +390,7 @@ class TestEpsilonInfinity:
                 sched, PowerNoise(1.0, 0.5, a2=3.0, offset=1), 1.0, 1.0
             )
         with pytest.raises(ValueError):
-            privacy.epsilon_infinity_bound(sched, ConstantNoise(1.0), 1.0, 1.0)
+            privacy.epsilon_infinity_bound(sched, PowerNoise(1.0, 0.0, a2=1.0), 1.0, 1.0)
 
 
 class TestDesignCheck:

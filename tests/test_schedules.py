@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpconsensus.schedules import (
-    ConstantNoise,
     DivergentSeriesError,
     GeometricNoise,
     GeometricStep,
@@ -35,7 +34,7 @@ def test_power_step_values():
         lambda v: PowerNoise(1.0, -v),
         lambda v: PowerNoise(1.0, 0.1, a2=v),
         lambda v: GeometricNoise(v, 0.9),
-        lambda v: ConstantNoise(v),
+        lambda v: PowerNoise(v, 0.0, a2=1.0),
     ],
     ids=["step-a1", "step-a2", "b_floor", "gamma", "minus-gamma", "noise-a2", "geometric-c", "constant-b"],
 )
@@ -69,7 +68,7 @@ def test_power_step_validation():
 def test_noise_scale_values():
     assert PowerNoise(1, 0.1, 0, 0).scale(16) == pytest.approx(16**0.1)
     assert GeometricNoise(1, 0.9).scale(2) == pytest.approx(0.81)
-    assert ConstantNoise(2).scale(123456) == 2.0
+    assert PowerNoise(2, 0.0, a2=1.0).scale(123456) == 2.0
 
 
 def test_power_noise_offset_domain():
@@ -93,7 +92,7 @@ def test_power_noise_offset_domain():
         PowerNoise(1.3, -0.3, a2=1, offset=1),
         PowerNoise(2.5, 0.2, a2=0.5, offset=0),
         GeometricNoise(3.1, 0.9),
-        ConstantNoise(1.7),
+        PowerNoise(1.7, 0.0, a2=1.0),
     ],
 )
 def test_array_evaluation_matches_scalar(sched):
@@ -186,6 +185,24 @@ def test_power_noise_needs_a_finite_first_scale(b_floor, gamma, a2, offset):
         PowerNoise(b_floor, gamma, a2, offset)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    b=st.floats(0.0, 1e300, exclude_min=True),
+    a2=st.one_of(st.sampled_from([1.0, 5e-324, 1e6]), st.floats(0.0, 1e6, exclude_min=True)),
+    k_len=st.integers(1, 300),
+)
+def test_gamma_zero_power_noise_is_constant(b, a2, k_len):
+    """Constant noise b is power noise with gamma = 0 and a2 > 0: b(k) = b on every step, bit for bit."""
+    noise = PowerNoise(b, 0.0, a2)
+    got = noise.scale(np.arange(k_len))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.full(k_len, b))
+    assert noise.scale(k_len - 1) == b
+    # With the default a2 = 0 the base at k = 0 is 0, where the schedule has not started.
+    assert PowerNoise(b, 0.0).scale(0) == 0.0
+    assert np.array_equal(PowerNoise(b, 0.0).scale(np.arange(k_len))[1:], np.full(k_len - 1, b))
+
+
 def test_power_noise_starts_where_its_base_turns_positive():
     # Offset 1 with a subnormal a2: (1 + a2) - 1 rounds to 0, so b starts at k = 2.
     np.testing.assert_array_equal(PowerNoise(1.0, -1.0, 1e-310, 1).scale(np.arange(4)), [0.0, 0.0, 1.0, 0.5])
@@ -209,17 +226,14 @@ def test_geometric_step_baseline_only():
 
 
 def test_validate_assumptions_verdicts():
-    good = validate_assumptions(PowerStep(1, 1, 1.0), PowerNoise(1, 0.1, 1, 1))
-    assert (good.satisfies_a, good.satisfies_b) == (True, True)
-    a_only = validate_assumptions(PowerStep(1, 1, 0.4), PowerNoise(1, -0.2, 1, 0))
-    assert (a_only.satisfies_a, a_only.satisfies_b) == (True, False)
-    assert "alpha^2" in a_only.reason
+    # The verdict is why condition (a) fails, or None where it holds.
+    assert validate_assumptions(PowerStep(1, 1, 1.0), PowerNoise(1, 0.1, 1, 1)) is None
+    assert validate_assumptions(PowerStep(1, 1, 0.4), PowerNoise(1, -0.2, 1, 0)) is None
     bad = validate_assumptions(PowerStep(1, 1, 1.0), PowerNoise(1, 0.6, 1, 0))
-    assert (bad.satisfies_a, bad.satisfies_b) == (False, False)
-    geo = validate_assumptions(PowerStep(1, 1, 0.9), GeometricNoise(1, 0.9))
-    assert (geo.satisfies_a, geo.satisfies_b) == (True, True)
-    const_bad = validate_assumptions(PowerStep(1, 1, 0.5), ConstantNoise(1))
-    assert (const_bad.satisfies_a, const_bad.satisfies_b) == (False, False)
+    assert "sum alpha^2 b^2 diverges" in bad
+    assert validate_assumptions(PowerStep(1, 1, 0.9), GeometricNoise(1, 0.9)) is None
+    const_bad = validate_assumptions(PowerStep(1, 1, 0.5), PowerNoise(1, 0.0, a2=1.0))
+    assert "sum alpha^2 b^2 diverges" in const_bad
 
 
 def test_sum_bound_direct_values():
