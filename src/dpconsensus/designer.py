@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import GraphSpectrum
 from .privacy import check_epsilon_design
-from .schedules import DivergentSeriesError, PowerNoise, PowerStep, sum_alpha2_b2_bound
+from .schedules import PowerNoise, PowerStep, sum_alpha2_b2_bound
 
 __all__ = [
     "DesignTarget",
@@ -88,15 +88,8 @@ def _accuracy_rhs(target: DesignTarget, stats: GraphSpectrum) -> float:
 def check_accuracy_design(
     target: DesignTarget, sched: PowerStep, nsched: PowerNoise, stats: GraphSpectrum
 ) -> tuple[bool, float]:
-    """Sufficient closed-form accuracy condition; margin = RHS - LHS.
-
-    The bound checks the noise convention; it is 0 at a1 = 0 whatever gamma,
-    so the divergence test is repeated here.
-    """
-    lhs = sum_alpha2_b2_bound(sched, nsched)
-    if nsched.gamma >= sched.beta - 0.5:
-        raise DivergentSeriesError("gamma >= beta - 1/2: limit variance diverges")
-    margin = _accuracy_rhs(target, stats) - lhs
+    """Sufficient closed-form accuracy condition; margin = RHS - LHS."""
+    margin = _accuracy_rhs(target, stats) - sum_alpha2_b2_bound(sched, nsched)
     return margin >= 0.0, margin
 
 
@@ -171,7 +164,8 @@ def default_grid() -> dict:
 def _gammas_for(beta: float, grid: dict) -> list[float]:
     if grid.get("gamma") is not None:
         return [g for g in grid["gamma"] if g < beta - 0.5]
-    return [round(float(g), 10) for g in np.arange(-0.5, beta - 0.51 + 1e-12, 0.1)]
+    # round takes arange's -1e-16 to -0.0; adding +0.0 makes that zero +0.0.
+    return [round(float(g), 10) + 0.0 for g in np.arange(-0.5, beta - 0.51 + 1e-12, 0.1)]
 
 
 def design_search(

@@ -170,10 +170,11 @@ def _graph_from_dict(d: dict) -> SignedGraph:
     if not isinstance(d, dict) or set(d) not in ({"fixture"}, {"n", "edges"}):
         raise ConfigError("graph block needs exactly the key fixture, or the keys n and edges")
     if "fixture" in d:
+        name = _string(d["fixture"])
         try:
-            return fixture_graph(d["fixture"])
-        except FileNotFoundError as exc:
-            raise ConfigError(f"no fixture graph named {d['fixture']!r}") from exc
+            return fixture_graph(name)
+        except KeyError as exc:
+            raise ConfigError(f"no fixture graph named {name!r}") from exc
     edges = [(_integer(i), _integer(j), _number(w)) for i, j, w in d["edges"]]
     return SignedGraph.from_edges(_integer(d["n"]), edges)
 
@@ -331,7 +332,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Aggrega
     if cfg.horizon >= 100:
         try:
             rate = estimate_rate(ks, v_mean, (cfg.horizon / 10, cfg.horizon))
-        except (ValueError, NonpositiveValuesError):
+        except ValueError:
             rate = None
     report = AggregateReport(
         ks=ks,

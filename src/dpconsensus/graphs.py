@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.resources
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +14,6 @@ __all__ = [
     "StructurallyUnbalancedError",
     "check_structural_balance",
     "spectrum",
-    "parse_edge_list",
     "fixture_graph",
 ]
 
@@ -155,26 +155,14 @@ def spectrum(g: SignedGraph, s: np.ndarray) -> GraphSpectrum:
     return GraphSpectrum(gauge_laplacian=lap_s, lambda2=lambda2, degrees=g.degrees)
 
 
-def parse_edge_list(text: str) -> SignedGraph:
-    """Parse the ``i j w`` one-edge-per-line format (1-based indices)."""
-    edges = []
-    nmax = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'i j w', got {line!r}")
-        i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-        if i < 1 or j < 1:
-            raise ValueError(f"line {lineno}: indices are 1-based")
-        nmax = max(nmax, i, j)
-        edges.append((i, j, w))
-    return SignedGraph.from_edges(nmax, edges)
-
-
 def fixture_graph(name: str) -> SignedGraph:
-    """Load one of the shipped fixture graphs (``fig1a`` or ``fig1b``)."""
-    ref = importlib.resources.files("dpconsensus.fixtures") / f"{name}.txt"
-    return parse_edge_list(ref.read_text())
+    """The graph block shipped under ``name`` in ``fixtures/graphs.json``.
+
+    ``fig1a`` is the paper's five-agent structurally balanced signed graph,
+    camps {1,3,4} and {2,5}, whose negative edges cross the camps.  ``fig1b``
+    is a five-agent unsigned (all-positive) graph, whose gauge is the
+    identity.  Any other name raises ``KeyError``.
+    """
+    ref = importlib.resources.files("dpconsensus.fixtures") / "graphs.json"
+    block = json.loads(ref.read_text())[name]
+    return SignedGraph.from_edges(block["n"], block["edges"])

@@ -79,7 +79,8 @@ def _epsilon_at(sched: PowerStep, noise, c_min: float, delta: float, horizons) -
     running total of whole blocks plus one sum over its own block's prefix,
     so it equals a separate pass to that horizon bit for bit.  The loss is
     infinite from the first ``b(k) <= 0`` on, and the pass stops early once
-    S(k) underflows.
+    S(k) underflows.  A b(k) that overflows to inf, as growing noise can past
+    the config's horizon, releases nothing: its term S(k)/inf is 0.
     """
     hs = [int(h) for h in horizons]
     if any(h < 1 for h in hs):
@@ -101,7 +102,8 @@ def _epsilon_at(sched: PowerStep, noise, c_min: float, delta: float, horizons) -
         scale = delta * running
         q[0] = scale
         np.multiply(cp[:-1], scale, out=q[1:n])
-        b_vals = noise.scale(np.add(ls, 1.0, out=ls))  # S(k) pairs with b(k), k = l + 1
+        with np.errstate(over="ignore"):
+            b_vals = noise.scale(np.add(ls, 1.0, out=ls))  # S(k) pairs with b(k), k = l + 1
         bad = b_vals <= 0.0
         valid = int(bad.argmax()) if bad.any() else n  # quotients before the first b(k) <= 0
         q[:valid] /= b_vals[:valid]

@@ -173,10 +173,10 @@ def sum_alpha2_b2_bound(step: PowerStep, noise: PowerNoise) -> float:
             "the bound assumes b(k) = b_floor*(k + a2)^gamma "
             "with the same a2 as the step-size schedule"
         )
-    if step.a1 == 0:
-        return 0.0
     if noise.gamma >= step.beta - 0.5:
         raise DivergentSeriesError("gamma >= beta - 1/2: series diverges")
+    if step.a1 == 0:
+        return 0.0
     a1, a2, beta, bf, gamma = step.a1, step.a2, step.beta, noise.b_floor, noise.gamma
     integral = a1**2 * bf**2 * a2 ** (2 * gamma - 2 * beta + 1) / (2 * beta - 2 * gamma - 1)
     first = a1**2 * bf**2 * a2 ** (2 * gamma) / a2 ** (2 * beta)

@@ -270,3 +270,9 @@ def test_default_grid_shape():
     assert set(grid) == {"a1", "a2", "beta", "gamma", "b_floor"}
     assert grid["gamma"] is None
     assert len(grid["b_floor"]) == 7
+
+
+@pytest.mark.parametrize("beta", default_grid()["beta"])
+def test_default_gammas_have_no_negative_zero(beta):
+    for g in designer._gammas_for(beta, {}):
+        assert g != 0 or math.copysign(1.0, g) == 1.0

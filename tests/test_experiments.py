@@ -423,6 +423,21 @@ class TestCli:
         assert err.startswith("config error:") and message in err
         assert err.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("name", ["../fixtures/fig1a", "graphs", "", 5, ["fig1a"]])
+    def test_fixture_name_must_be_a_shipped_graph(self, tmp_path, capsys, name):
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(minimal_doc(graph={"fixture": name})))
+        rc = cli.main(["rates", "--config", str(p)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_graph_fixture_file_is_not_a_config(self, capsys):
+        rc = cli.main(["rates", "--config", "graphs"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -722,6 +737,7 @@ class TestCli:
         assert rc == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "gamma" in out and "ms_exponent" in out
+        assert "+0.00 " in out and "-0.00" not in out  # the gamma = 0 row is not -0.00
 
     @pytest.mark.parametrize("mode", ["report", "sweep"])
     def test_privacy_without_contraction(self, tmp_path, capsys, mode):

@@ -11,7 +11,6 @@ from dpconsensus.graphs import (
     StructurallyUnbalancedError,
     check_structural_balance,
     fixture_graph,
-    parse_edge_list,
     spectrum,
 )
 
@@ -142,17 +141,23 @@ def test_weights_immutable(fig1a):
         fig1a.weights[0, 1] = 5.0
 
 
-def test_edge_list_parsing_roundtrip(fig1a):
-    text = "# comment\n1 4 1.0\n1 2 -1.0\n4 5 -1.0  # inline\n2 5 1.0\n3 4 1.0\n"
-    g = parse_edge_list(text)
-    np.testing.assert_allclose(g.weights, fig1a.weights)
+@pytest.mark.parametrize(
+    "name, weights",
+    [
+        ("fig1a", [[0, -1, 0, 1, 0], [-1, 0, 0, 0, 1], [0, 0, 0, 1, 0], [1, 0, 1, 0, -1], [0, 1, 0, -1, 0]]),
+        ("fig1b", [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [1, 0, 1, 0, 1], [0, 1, 0, 1, 0]]),
+    ],
+)
+def test_fixture_graph_weights_pinned(name, weights):
+    w = fixture_graph(name).weights
+    assert w.dtype == np.float64
+    np.testing.assert_array_equal(w, weights)
 
 
-def test_edge_list_parse_errors():
-    with pytest.raises(ValueError):
-        parse_edge_list("1 2\n")
-    with pytest.raises(ValueError):
-        parse_edge_list("0 2 1.0\n")
+@pytest.mark.parametrize("name", ["../fixtures/fig1a", "graphs", "fig2a", ""])
+def test_fixture_name_is_a_key_not_a_path(name):
+    with pytest.raises(KeyError):
+        fixture_graph(name)
 
 
 def test_invalid_gauge_rejected(fig1a):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,21 @@ class TestReport:
         assert rep.infinity.case == "no-case-applies"
         assert math.isnan(rep.infinity.value)
         assert np.isfinite(rep.epsilon_at[0])
+
+    def test_noise_overflowing_past_the_horizon_counts_as_zero_terms(self):
+        # b(k) = 1e306 * k^0.4 overflows to inf from k ~ 4.3e5: Lap(0, inf)
+        # releases nothing, so those steps add 0, and no warning is raised.
+        sched, noise = PowerStep(0.5, 1.0, 1.0), offset1_noise(1e306, 0.4, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = privacy.privacy_report(sched, noise, 1.0, 1.0)
+        terms, s_k = [], 1.0
+        for k in range(1, 10**6 + 1):
+            terms.append(s_k / (1e306 * float(k) ** 0.4))  # a Python float: inf past the range
+            s_k *= 1.0 - 0.5 / k
+        assert terms[-1] == 0.0
+        assert rep.epsilon_at[1] == pytest.approx(math.fsum(terms[: 10**4]), rel=1e-12, abs=0)
+        assert rep.epsilon_at[2] == pytest.approx(math.fsum(terms), rel=1e-12, abs=0)
 
 
 def _shipped_accounting(name):

@@ -241,6 +241,8 @@ def test_sum_bound_direct_values():
     assert sum_alpha2_b2_bound(PowerStep(0, 1, 1.0), PowerNoise(1, 0.0, 1, 0)) == 0.0
     with pytest.raises(DivergentSeriesError):
         sum_alpha2_b2_bound(PowerStep(1, 1, 1.0), PowerNoise(1, 0.5, 1, 0))
+    with pytest.raises(DivergentSeriesError):  # a1 = 0 makes every term 0, but gamma still fails
+        sum_alpha2_b2_bound(PowerStep(0, 1, 1.0), PowerNoise(1, 0.6, 1, 0))
 
 
 def test_sum_bound_dominates_partial_sums():
