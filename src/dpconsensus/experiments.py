@@ -23,6 +23,7 @@ from .designer import DesignTarget
 from .graphs import SignedGraph, check_structural_balance, fixture_graph, spectrum
 from .noise import DEFAULT_SEED, laplace_from_keys, stream_keys
 from .schedules import GeometricNoise, GeometricStep, PowerNoise, PowerStep, validate_assumptions
+from .special import t975
 
 __all__ = [
     "ConfigError",
@@ -236,17 +237,15 @@ def load_config(ref: str) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-# Shipped names served by another shipped file under their own name.
-_ALIASES = {"fig2_caption": "fig2a"}
+# Each shipped config name and the file in fixtures/ that serves it.
+_SHIPPED = {"fig2a": "fig2a", "fig2_caption": "fig2a", "fig3a": "fig3a", "sec4_text": "sec4_text"}
 
 
 def named_config(name: str) -> ExperimentConfig:
-    """A config shipped with the package (fig2a, fig2_caption, fig3a, sec4_text)."""
-    ref = resources.files("dpconsensus") / "fixtures" / f"{_ALIASES.get(name, name)}.json"
-    try:
-        doc = json.loads(ref.read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"no shipped config named {name!r}") from exc
+    """A config shipped with the package, served under its own name."""
+    if name not in _SHIPPED:
+        raise ConfigError(f"no shipped config named {name!r}")
+    doc = json.loads((resources.files("dpconsensus") / "fixtures" / f"{_SHIPPED[name]}.json").read_text())
     return config_from_dict({**doc, "name": name})
 
 
@@ -277,8 +276,6 @@ class AggregateReport:
 
 def estimate_rate(ks, v_mean, window: tuple[float, float]) -> RateFit:
     """OLS of log mean-disagreement on log step over a step-index window."""
-    from scipy.special import stdtrit  # here, so commands without a rate fit skip scipy.special
-
     ks = np.asarray(ks, dtype=float)
     v = np.asarray(v_mean, dtype=float)
     mask = (ks >= window[0]) & (ks <= window[1]) & (ks > 0)
@@ -292,7 +289,7 @@ def estimate_rate(ks, v_mean, window: tuple[float, float]) -> RateFit:
     slope = sxy / sxx
     dof = int(mask.sum()) - 2
     stderr = np.sqrt((1 - r**2) * syy / sxx / dof)
-    half = stdtrit(dof, 0.975) * stderr
+    half = t975(dof) * stderr
     return RateFit(
         slope=float(slope),
         ci_low=float(slope - half),

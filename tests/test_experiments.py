@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -369,15 +370,59 @@ class TestCompareBaselines:
         assert not verdicts["protocol"].biased
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # SciPy's import is most of a cold start. The graph layer finds its gauge
-    # with NumPy, the rate fit does without scipy.stats, and scipy.special is
-    # imported only when a fit runs.
+def _python(code, *args):
+    """stdout of ``code`` in a fresh interpreter that imports dpconsensus from this tree."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy's import is most of a cold start, and no command needs it: the
+    # graph layer finds its gauge with NumPy, and the rate fit takes its
+    # Student-t quantile from dpconsensus.special.
     code = "import sys, dpconsensus.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _python(code) == "[]"
+
+
+def test_simulate_leaves_scipy_unloaded():
+    # fig2a's horizon of 1000 runs the rate fit, whose t quantile came from scipy.special.
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from dpconsensus import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(sys.argv[1:])
+        print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
+    """)
+    assert _python(code, "simulate", "--config", "fig2a", "--runs", "2") == "0 []"
+
+
+@pytest.mark.filterwarnings("ignore:alpha\\(0\\)\\*c_max:RuntimeWarning")
+def test_every_command_exits_alike_without_scipy(capsys):
+    commands = [
+        [*command, "--config", name]
+        for name in ("fig2a", "fig2_caption", "fig3a", "sec4_text")
+        for command in (["simulate", "--runs", "2"], ["privacy", "report"], ["privacy", "sweep"], ["rates"], ["design"])
+    ]
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        from dpconsensus import cli
+        codes = []
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    codes.append(cli.main(argv))
+                except Exception as exc:  # a traceback and exit 1 from the console script
+                    codes.append(repr(exc))
+        print(json.dumps(codes))
+    """)
+    blocked = json.loads(_python(code, json.dumps(commands)))
+    unblocked = [cli.main(argv) for argv in commands]
+    capsys.readouterr()
+    names = [" ".join(argv) for argv in commands]
+    assert dict(zip(names, blocked)) == dict(zip(names, unblocked))
 
 
 class TestCli:
@@ -397,6 +442,11 @@ class TestCli:
     def test_simulate_config_error(self, capsys):
         rc = cli.main(["simulate", "--config", "no_such_config"])
         assert rc == cli.EXIT_CONFIG
+
+    def test_shipped_config_name_is_not_a_path(self, capsys):
+        rc = cli.main(["rates", "--config", "../fixtures/fig2a"])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: no shipped config named '../fixtures/fig2a'\n"
 
     @pytest.mark.parametrize(
         "over, message",
@@ -433,10 +483,10 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_graph_fixture_file_is_not_a_config(self, capsys):
+        # fixtures/ also holds graphs.json, the fixture graph table, which no name serves.
         rc = cli.main(["rates", "--config", "graphs"])
         assert rc == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == "config error: no shipped config named 'graphs'\n"
 
     @pytest.mark.parametrize(
         "flags, message",

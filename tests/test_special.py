@@ -1,11 +1,12 @@
 import math
+import timeit
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy import special as ssp
 
-from dpconsensus.special import log_scaled_upper_gamma
+from dpconsensus.special import log_scaled_upper_gamma, t975
 
 from conftest import upper_incomplete_gamma
 
@@ -71,3 +72,43 @@ def test_log_scaled_beyond_float_range(a, z):
     with mpmath.workdps(50):
         ref = mpmath.log(mpmath.exp(z) * mpmath.power(z, -a) * mpmath.gammainc(a, z))
         assert log_scaled_upper_gamma(a, z) == pytest.approx(float(ref), rel=1e-12)
+
+
+def _t975_mpmath(dof, mpmath):
+    """The 97.5% t point at 50 digits: the root of P(|T| > t) = I_x(dof/2, 1/2) = 0.05."""
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(dof)
+        tail = lambda t: mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) - mpmath.mpf("0.05")
+        return mpmath.findroot(tail, mpmath.mpf(t975(dof)))
+
+
+@pytest.mark.parametrize(
+    "dofs",
+    [range(1, 61), sorted({round(d) for d in np.logspace(np.log10(61), 7, 36)} | {999, 1000})],
+    ids=["1-60", "log-spaced"],
+)
+def test_t975_against_mpmath(dofs):
+    mpmath = pytest.importorskip("mpmath")
+    for dof in dofs:
+        ref = _t975_mpmath(dof, mpmath)
+        assert abs(t975(dof) - ref) <= 1e-13 * ref, dof
+
+
+def test_t975_against_scipy():
+    got = np.array([t975(dof) for dof in range(1, 5001)])
+    ref = ssp.stdtrit(np.arange(1, 5001), 0.975)
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 998, 999, 1000, 10**7])
+def test_t975_costs_under_a_millisecond(dof):
+    # Below dof = 1000 each Newton step sums about dof / 2 terms; the best of
+    # five timings keeps a busy host from failing the test.
+    best = min(timeit.timeit(lambda: t975(dof), number=10) / 10 for _ in range(5))
+    assert best <= 1e-3
+
+
+@pytest.mark.parametrize("dof", [0, -1])
+def test_t975_rejects_dof_below_one(dof):
+    with pytest.raises(ValueError):
+        t975(dof)
