@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import laplace_into, stream_keys
+from .noise import laplace_from_keys, laplace_into, stream_keys
 
 _BLOCK_ELEMENTS = 2**16
 DIVERGENCE_LIMIT = 1e12
@@ -87,9 +87,7 @@ def simulate(
 
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     v = np.full((m, n_rec), np.nan)
-    gmean = np.full(n_rec, np.nan)
     x_rec = np.full((n_rec, n), np.nan)
-    y_rec = np.full((n_rec, n), np.nan)
     diverged_at = np.full(m, -1, dtype=np.int64)
     max_tail_delta = np.zeros(m)
     alive = np.ones(m, dtype=bool)
@@ -105,8 +103,8 @@ def simulate(
     x_new = np.empty_like(x)
     scratch = np.empty_like(x)
 
-    def flush(pos, count, k0=0, omega=None, noisy=None):
-        """Records pos, ..., pos + count - 1 from the stash; y where ``noisy`` is given.
+    def flush(pos, count):
+        """Records pos, ..., pos + count - 1 from the stash.
 
         A run is alive at record k unless it diverged at a step <= k.  Dead
         runs hold zeros (the divergence check resets them), so rows are
@@ -117,24 +115,15 @@ def simulate(
         live = (diverged_at < 0) | (diverged_at > ks[:, None])
         live0 = live[:, 0]
         x_rec[sl][live0] = s[live0, 0]
-        if noisy is not None:
-            y = s[:, 0].copy()
-            if omega is not None:
-                js = ks - k0
-                np.add(y, omega[js, 0], out=y, where=noisy[js, None])
-            y_rec[sl][live0] = y[live0]
         z = np.multiply(s, gauge, out=s)
         mu = row_sum(z) / n  # z.mean(axis=-1), bit for bit
         dev = np.subtract(z, mu[..., None], out=z)
         v[:, sl] = np.where(live, row_sum(np.square(dev, out=dev)), np.nan).T
-        gmean[sl][live0] = mu[live0, 0]
 
     for k0 in range(0, t_total, block):
         k1 = min(k0 + block, t_total)
         b = bscale[k0:k1]
-        noisy_block = b > 0.0
-        noisy = noisy_block.tolist()
-        omega = None
+        noisy = (b > 0.0).tolist()
         if any(noisy):
             # (B, M, n) draws and their fold alpha(k) * (w(k) @ A^T), one matmul per block.
             steps = np.arange(k0, k1, dtype=np.uint64)[:, None, None]
@@ -168,10 +157,17 @@ def simulate(
                     alive &= ~bad
                     x[~alive] = 0.0
         if rec_pos > pos0:
-            flush(pos0, rec_pos - pos0, k0, omega, noisy_block)
+            flush(pos0, rec_pos - pos0)
     if rec_list[rec_pos] == t_total:
         stash[0] = x
         flush(rec_pos, 1)
+    # Run 0's gauge mean, and its y(k) = x(k) + w(k) at k < T: a draw is a pure function
+    # of its key, so w(k) is the one the loop drew.  Only b(k) > 0 adds it: -0.0 stays -0.0.
+    gmean = row_sum(x_rec * gauge) / n
+    ks = rec[rec < t_total]
+    xs, bk = x_rec[: len(ks)], bscale[ks, None]
+    y_rec = np.full_like(x_rec, np.nan)
+    y_rec[: len(ks)] = np.where(bk > 0.0, xs + laplace_from_keys(keys[0], ks[:, None], bk), xs)
 
     return KernelResult(
         v=v,

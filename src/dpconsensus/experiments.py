@@ -303,6 +303,11 @@ def estimate_rate(ks, v_mean, window: tuple[float, float]) -> RateFit:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> AggregateReport:
     """Execute the Monte Carlo batch, optionally writing CSV/JSON artifacts."""
     gauge = check_structural_balance(cfg.graph)
+    if out_dir is not None:  # before the batch, so a bad path fails fast
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     ks, res = engine.run_many(
         cfg.x0,
         cfg.graph,
@@ -351,7 +356,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Aggrega
 
 def _write_artifacts(report, res, v0, out_dir, cfg) -> None:
     """report.json, aggregate.csv and trajectory_000.csv (run 0 of the batch, V ``v0``; y only with noise)."""
-    os.makedirs(out_dir, exist_ok=True)
     n = res.x_rec.shape[1]
     cols = ["k", "V", "gauge_mean"] + [f"x_{i + 1}" for i in range(n)]
     states = [res.x_rec]
@@ -419,8 +423,8 @@ def _decile_noise_std(noise, seed, runs, n, t, first: bool) -> float:
     """Empirical std of the injected noise over one decile of the horizon."""
     if noise is None:
         return 0.0
-    lo, hi = (0, t // 10) if first else (t - t // 10, t)
-    steps = np.arange(lo, hi)
+    d = max(t // 10, 1)  # as compare_baselines' tail_start: one step at t < 10
+    steps = np.arange(0, d) if first else np.arange(t - d, t)
     keys = stream_keys(seed, np.arange(min(runs, 50))[:, None], np.arange(n)[None, :])
     # (steps, runs, agents) in one draw; its step-major order is the std's summation order.
     draws = laplace_from_keys(keys, steps[:, None, None], noise.scale(steps)[:, None, None])

@@ -6,10 +6,10 @@ by at most ``delta``.  The per-step sensitivity contracts as
     S(1) = delta,   S(k) = delta * prod_{l=0}^{k-2} (1 - alpha(l) c_min)
 
 and the privacy loss over a horizon T is ``sum_{k=1}^T S(k) / b(k)``.
-The infinite-horizon bound admits four closed forms depending on the
-step-size exponent and the sign of the noise-growth exponent; all assume
-the offset-1 power noise ``b(k) = b_floor * (k + a2 - 1)^gamma`` sharing
-``a2`` with the step-size schedule.
+The infinite-horizon bound takes three closed forms: one for step-size
+exponent beta = 1, and one per sign of the noise-growth exponent gamma when
+beta < 1.  All assume the offset-1 power noise
+``b(k) = b_floor * (k + a2 - 1)^gamma`` sharing ``a2`` with the step sizes.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ class PrivacyReport:
     delta: float
     c_min: float
     params: dict = field(default_factory=dict)
-
-
-def _check_contraction(sched: PowerStep, c_min: float) -> None:
-    if sched.a1 * c_min >= sched.a2**sched.beta:
-        raise ValueError(
-            "step schedule too aggressive for the sensitivity bound: "
-            "need a1 * c_min < a2^beta so every contraction factor stays in (0, 1)"
-        )
 
 
 def _contraction(sched: PowerStep, c_min: float, ls: np.ndarray) -> np.ndarray:
@@ -126,7 +118,17 @@ def epsilon_finite(sched: PowerStep, noise, c_min: float, delta: float, horizon:
     return _epsilon_at(sched, noise, c_min, delta, (horizon,))[0]
 
 
-def _require_shared_power_noise(sched: PowerStep, noise) -> PowerNoise:
+def epsilon_infinity_bound(
+    sched: PowerStep, noise, c_min: float, delta: float
+) -> EpsilonBound:
+    """Closed-form upper bound on sup_T of the privacy loss.
+
+    Three convergent branches: "case1" for beta = 1 (or a1*c_min = 0) and any
+    gamma, needing a1*c_min + gamma > 1, and "case3" / "case4" for beta < 1
+    with nonnegative / negative gamma via the upper incomplete gamma function,
+    always evaluated in log space.  Only a bound beyond the float range is
+    case "overflow": no finite bound, ``convergent`` False.
+    """
     if not isinstance(noise, PowerNoise):
         raise ValueError("the closed-form privacy bound needs a power-law noise schedule")
     if noise.offset != 1 or noise.a2 != sched.a2:
@@ -134,22 +136,11 @@ def _require_shared_power_noise(sched: PowerStep, noise) -> PowerNoise:
             "the closed-form privacy bound assumes b(k) = b_floor*(k + a2 - 1)^gamma "
             "with the same a2 as the step-size schedule"
         )
-    return noise
-
-
-def epsilon_infinity_bound(
-    sched: PowerStep, noise, c_min: float, delta: float
-) -> EpsilonBound:
-    """Closed-form upper bound on sup_T of the privacy loss.
-
-    Four convergent branches: beta = 1 (or a1*c_min = 0) with nonnegative /
-    negative gamma (both needing a1*c_min + gamma > 1), and beta < 1 with
-    nonnegative / negative gamma via the upper incomplete gamma function,
-    always evaluated in log space.  Only a bound beyond the float range is
-    case "overflow": no finite bound, ``convergent`` False.
-    """
-    noise = _require_shared_power_noise(sched, noise)
-    _check_contraction(sched, c_min)
+    if sched.a1 * c_min >= sched.a2**sched.beta:
+        raise ValueError(
+            "step schedule too aggressive for the sensitivity bound: "
+            "need a1 * c_min < a2^beta so every contraction factor stays in (0, 1)"
+        )
     a2, beta, gamma = sched.a2, sched.beta, noise.gamma
     bf = noise.b_floor
     if bf == 0.0:  # no noise: the first step alone leaks without bound
@@ -157,26 +148,15 @@ def epsilon_infinity_bound(
     acm = sched.a1 * c_min
     first = delta / (bf * a2**gamma)  # delta / b(1)
 
-    # With acm = 0 the step never contracts the sensitivity, beta plays no
-    # part, and the beta = 1 forms are exact.
+    # With acm = 0 the step never contracts the sensitivity and beta plays no
+    # part.  For either sign of gamma, 1 - x <= e^-x and sum_{l<k-1} 1/(l + a2)
+    # >= ln((k - 1 + a2)/a2) give S(k)/b(k) <= (delta/bf) a2^acm (k - 1 + a2)^-(acm + gamma),
+    # whose sum over k >= 2 is at most rest * (a2/(1 + a2))^acm.
     if beta == 1.0 or acm == 0.0:
         if acm + gamma <= 1.0:
             return EpsilonBound(math.inf, "divergent", False)
-        if gamma >= 0.0:
-            rest = delta * (1 + a2) ** acm * a2 ** (1 - acm - gamma) / (bf * (acm + gamma - 1))
-            return EpsilonBound(first + rest, "case1", True)
-        m = math.floor(-gamma)
-        terms = []
-        for t in range(m + 1):
-            num = math.prod(gamma + i for i in range(t))  # empty product -> 1
-            num *= (1 + a2) ** (-gamma - t) * a2 ** (-acm + t + m + 1)
-            den = math.prod(-acm + 1 + i for i in range(t + 1))
-            terms.append(num / den)
-        head = abs(math.fsum(terms))
-        num2 = math.prod(-gamma - i for i in range(m + 1)) * a2 ** (-acm - gamma + 1)
-        den2 = math.prod(acm - 1 - i for i in range(m + 1)) * (acm + gamma - 1)
-        rest = delta * (1 + a2) ** acm / bf * (head + num2 / den2)
-        return EpsilonBound(first + rest, "case2", True)
+        rest = delta * (1 + a2) ** acm * a2 ** (1 - acm - gamma) / (bf * (acm + gamma - 1))
+        return EpsilonBound(first + rest, "case1", True)
 
     # beta < 1: always convergent under the contraction check.  The closed
     # form is e^z c^-shape Gamma(shape, z) with c = acm / (1 - beta); e^z and

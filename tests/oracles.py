@@ -1,5 +1,6 @@
-"""Reference forms of the balance gauge, the consensus update, the privacy loss, the batch
-aggregate and the CSV artifacts, used only as test oracles."""
+"""Reference forms of the balance gauge, the consensus update, the privacy loss, the paper's
+beta = 1, gamma < 0 privacy bound, the batch aggregate and the CSV artifacts, used only as
+test oracles."""
 
 import math
 
@@ -157,3 +158,24 @@ def artifact_csvs(report, res, noisy: bool) -> dict[str, bytes]:
         "trajectory_000.csv": ("\n".join(traj) + "\n").encode(),
         "aggregate.csv": ("\n".join(agg) + "\n").encode(),
     }
+
+
+def epsilon_case2_paper(sched, noise, c_min: float, delta: float) -> float:
+    """The paper's beta = 1, gamma < 0 closed form for sup_T of the privacy loss.
+
+    Its series has floor(-gamma) + 1 terms; it needs a1*c_min + gamma > 1 and
+    the offset-1 power noise b(k) = b_floor * (k + a2 - 1)^gamma.
+    """
+    a2, gamma, bf = sched.a2, noise.gamma, noise.b_floor
+    acm = sched.a1 * c_min
+    m = math.floor(-gamma)
+    terms = []
+    for t in range(m + 1):
+        num = math.prod(gamma + i for i in range(t))  # empty product -> 1
+        num *= (1 + a2) ** (-gamma - t) * a2 ** (-acm + t + m + 1)
+        den = math.prod(-acm + 1 + i for i in range(t + 1))
+        terms.append(num / den)
+    head = abs(math.fsum(terms))
+    num2 = math.prod(-gamma - i for i in range(m + 1)) * a2 ** (-acm - gamma + 1)
+    den2 = math.prod(acm - 1 - i for i in range(m + 1)) * (acm + gamma - 1)
+    return delta / (bf * a2**gamma) + delta * (1 + a2) ** acm / bf * (head + num2 / den2)

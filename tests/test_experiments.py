@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,17 @@ class TestCompareBaselines:
     def test_protocol_unbiased(self, verdicts):
         assert not verdicts["protocol"].biased
 
+    @pytest.mark.parametrize("t", [5, 9])
+    def test_horizon_below_ten_takes_one_step_deciles(self, t):
+        cfg = dataclasses.replace(named_config("fig2a"), horizon=t, runs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", r"alpha\(0\)\*c_max", RuntimeWarning)
+            verdicts = experiments.compare_baselines(cfg)
+        assert all(math.isfinite(v.noise_std_first) and math.isfinite(v.noise_std_last) for v in verdicts)
+        # b(0) = 0 under the offset-1 schedule, so the protocol's first decile is silent.
+        assert verdicts[0].noise_std_first == 0.0 and verdicts[0].noise_alive
+
 
 def _python(code, *args):
     """stdout of ``code`` in a fresh interpreter that imports dpconsensus from this tree."""
@@ -438,6 +450,18 @@ class TestCli:
         )
         assert rc == cli.EXIT_OK
         assert (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["existing-file", "under-a-file"])
+    def test_simulate_unusable_out_fails_before_the_batch(self, tmp_path, capsys, monkeypatch, below):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(engine, "run_many", lambda *a, **k: pytest.fail("the batch ran"))
+        out = str(taken / below if below else taken)
+        rc = cli.main(["simulate", "--config", "fig2a", "--runs", "2", "--out", out])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
 
     def test_simulate_config_error(self, capsys):
         rc = cli.main(["simulate", "--config", "no_such_config"])

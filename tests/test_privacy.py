@@ -10,7 +10,7 @@ from dpconsensus import check_structural_balance, privacy, spectrum
 from dpconsensus.experiments import named_config
 from dpconsensus.schedules import PowerNoise, PowerStep
 
-from oracles import apply_update, epsilon_finite_blocked, sensitivity_series
+from oracles import apply_update, epsilon_case2_paper, epsilon_finite_blocked, sensitivity_series
 
 
 def offset1_noise(b_floor, gamma, a2):
@@ -260,13 +260,13 @@ class TestEpsilonInfinity:
         fin = privacy.epsilon_finite(sched, noise, 1.0, 1.0, 1_000_000)
         assert bound.value >= fin
 
-    def test_case2_tag_and_dominates_finite(self):
+    def test_negative_gamma_at_beta_one_is_case1_and_dominates_finite(self):
         # Needs a1*c_min > 1 - gamma, which the contraction condition only
         # allows once a2 > 1.
         sched = PowerStep(0.9, 2.0, 1.0)
         noise = offset1_noise(1.0, -0.3, 2.0)
         bound = privacy.epsilon_infinity_bound(sched, noise, c_min=2.0, delta=1.0)
-        assert bound.case == "case2" and bound.convergent
+        assert bound.case == "case1" and bound.convergent
         fin = privacy.epsilon_finite(sched, noise, 2.0, 1.0, 1_000_000)
         assert bound.value >= fin
 
@@ -294,7 +294,7 @@ class TestEpsilonInfinity:
         assert bound.case == "divergent"
         assert not bound.convergent and math.isinf(bound.value)
 
-    def test_case2_continuity_at_gamma_zero(self):
+    def test_beta_one_continuity_at_gamma_zero(self):
         sched = PowerStep(0.95, 2.0, 1.0)
         plus = privacy.epsilon_infinity_bound(
             sched, offset1_noise(1.0, 1e-6, 2.0), 2.0, 1.0
@@ -302,8 +302,53 @@ class TestEpsilonInfinity:
         minus = privacy.epsilon_infinity_bound(
             sched, offset1_noise(1.0, -1e-6, 2.0), 2.0, 1.0
         )
-        assert plus.case == "case1" and minus.case == "case2"
-        assert minus.value == pytest.approx(plus.value, rel=0.05)
+        assert plus.case == "case1" and minus.case == "case1"
+        assert minus.value == pytest.approx(plus.value, rel=1e-5)
+
+    def test_negative_gamma_at_beta_one_is_the_case1_expression(self):
+        a1, a2, gamma, c_min, bf, delta = 0.9, 2.0, -0.3, 2.0, 1.5, 0.7
+        bound = privacy.epsilon_infinity_bound(
+            PowerStep(a1, a2, 1.0), offset1_noise(bf, gamma, a2), c_min, delta
+        )
+        acm = a1 * c_min
+        first = delta / (bf * a2**gamma)
+        rest = delta * (1 + a2) ** acm * a2 ** (1 - acm - gamma) / (bf * (acm + gamma - 1))
+        assert bound.case == "case1" and bound.value == first + rest
+
+    def test_beta_one_bound_is_below_the_papers_negative_gamma_form(self):
+        # The paper's floor(-gamma)-term series for beta = 1, gamma < 0 is a
+        # valid bound; the one form for every gamma is never above it.
+        rng = np.random.default_rng(22)
+        for _ in range(2000):
+            a2 = rng.uniform(1.05, 6.0)
+            gamma = rng.uniform(1.0 - a2, 0.0)
+            acm = rng.uniform(1.0 - gamma, a2)
+            c_min, bf, delta = rng.uniform(0.5, 3.0), rng.uniform(0.1, 10.0), rng.uniform(0.1, 2.0)
+            sched, noise = PowerStep(acm / c_min, a2, 1.0), offset1_noise(bf, gamma, a2)
+            bound = privacy.epsilon_infinity_bound(sched, noise, c_min, delta)
+            assert bound.case == "case1"
+            assert bound.value <= epsilon_case2_paper(sched, noise, c_min, delta)
+
+    def test_beta_one_termwise_envelope(self):
+        # S(k)/b(k) <= (delta/b_floor) a2^acm (k - 1 + a2)^-(acm + gamma) for
+        # k >= 2 and either sign of gamma: the step the beta = 1 bound sums.
+        rng = np.random.default_rng(23)
+        k = np.arange(2, 100_001, dtype=float)
+        convergent = 0
+        for _ in range(200):
+            a2, gamma, c_min = rng.uniform(0.5, 5.0), rng.uniform(-3.0, 3.0), rng.uniform(0.5, 3.0)
+            acm = rng.uniform(0.0, 1.0) * a2
+            sched, noise = PowerStep(acm / c_min, a2, 1.0), offset1_noise(1.0, gamma, a2)
+            q = sensitivity_series(100_000, sched, c_min, 1.0)[1:] / noise.scale(k)
+            envelope = a2**acm * (k - 1 + a2) ** -(acm + gamma)
+            assert np.all(q <= envelope * (1 + 1e-12))
+            if acm + gamma > 1.0:
+                # The envelope's sum over k >= 2 is at most a2^(1 - gamma)/(acm + gamma - 1).
+                bound = privacy.epsilon_infinity_bound(sched, noise, c_min, 1.0)
+                assert bound.case == "case1"
+                assert a2**-gamma + a2 ** (1 - gamma) / (acm + gamma - 1) <= bound.value
+                convergent += 1
+        assert convergent >= 20
 
     def test_float_range_edges(self):
         # Near beta = 1 with a1*c_min + gamma < 1 the bound itself (about
