@@ -7,27 +7,36 @@ a block of steps at a time.  A block holds about ``_BLOCK_ELEMENTS`` draws,
 batch shape.  The state recursion itself stays one step at a time.
 
 Every array the size of a block or of the batch state is allocated once per
-call and reused: the draws and the drive of each block, a stash of the
-block's recorded states, two states that swap each step, and one scratch
-state for the |x| checks.  No step or block allocates a temporary of that
-size.  A recorded state is only copied into the stash during the block; the
-block's records are reduced together once it ends, column by column in the
-summation order of NumPy's row sums (``row_sum``).
+call and reused: the draws and the drive of each block, a stash of recorded
+states, two states that swap each step, and one scratch state for the |x|
+checks.  No step or block allocates a temporary of that size.  A recorded
+state is only copied into the stash; the stash is reduced, column by column
+in the summation order of NumPy's row sums (``row_sum``), only when the next
+block's records would not fit in it, and once at the end.
+
+The divergence check costs nothing in a block that provably cannot diverge:
+before each block an a-priori bound on max |x| is carried through the
+block's steps, and only a block whose bound exceeds half the limit screens
+its states step by step.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import laplace_from_keys, laplace_into, stream_keys
+from .noise import _U_MAX, laplace_from_keys, laplace_into, stream_keys
 
 _BLOCK_ELEMENTS = 2**16
 DIVERGENCE_LIMIT = 1e12
 # Sum-of-squares screen for the divergence check, below the limit squared by
 # far more than the dot product's rounding error.
 _SCREEN = (DIVERGENCE_LIMIT * (1 - 2.0**-20)) ** 2
+# The largest |draw| / b of ``noise.laplace_into``: -log1p(-2 * _U_MAX) = 53 ln 2.
+_DRAW_RATIO = -math.log1p(-2.0 * _U_MAX)
 
 
 def row_sum(z: np.ndarray) -> np.ndarray:
@@ -94,6 +103,13 @@ def simulate(
 
     lt = laplacian.T.copy()
     at = weights.T.copy()
+    # For alpha >= 0, ||I - alpha L||_inf = max(1 + alpha m1, alpha m2 - 1) from L's
+    # diagonal d and off-diagonal row sums o, and ||alpha A w||_inf <= alpha a_row max|w|.
+    diag = np.diag(laplacian)
+    off = np.abs(laplacian).sum(axis=1) - np.abs(diag)
+    m1, m2 = float((off - diag).max()), float((off + diag).max())
+    a_row = float(np.abs(weights).sum(axis=1).max())
+    reach = float(np.abs(x).max())  # bounds max |x| of every run, dead ones included
     rec_pos = 0
     # Made once per call (see the module docstring).
     block = max(1, _BLOCK_ELEMENTS // (m * n))
@@ -107,8 +123,8 @@ def simulate(
         """Records pos, ..., pos + count - 1 from the stash.
 
         A run is alive at record k unless it diverged at a step <= k.  Dead
-        runs hold zeros (the divergence check resets them), so rows are
-        reduced whole and dead ones masked.
+        runs go on from the zeros the divergence check reset them to, so
+        rows are reduced whole and dead ones masked.
         """
         s, sl = stash[:count], slice(pos, pos + count)
         ks = rec[sl]
@@ -120,9 +136,14 @@ def simulate(
         dev = np.subtract(z, mu[..., None], out=z)
         v[:, sl] = np.where(live, row_sum(np.square(dev, out=dev)), np.nan).T
 
+    pos0 = 0  # the first record still in the stash
     for k0 in range(0, t_total, block):
         k1 = min(k0 + block, t_total)
-        b = bscale[k0:k1]
+        if bisect.bisect_left(rec_list, k1, hi=n_rec) - pos0 > block:  # its records would not fit
+            flush(pos0, rec_pos - pos0)
+            pos0 = rec_pos
+        a, b = alpha[k0:k1], bscale[k0:k1]
+        a_k = memoryview(a)  # its items are Python floats, made one at a time
         noisy = (b > 0.0).tolist()
         if any(noisy):
             # (B, M, n) draws and their fold alpha(k) * (w(k) @ A^T), one matmul per block.
@@ -130,18 +151,27 @@ def simulate(
             omega = laplace_into(keys, steps, b[:, None, None], draws[: k1 - k0], drives[: k1 - k0])
             # The draw's scratch is dead now, so the drive takes its place.
             drive = np.matmul(omega, at, out=drives[: k1 - k0].view(np.float64))
-            drive *= alpha[k0:k1, None, None]
-        pos0 = rec_pos
+            drive *= a[:, None, None]
+        # reach <- prod_k max(1, ||I - alpha_k L||_inf) * (reach + a_row * max|w|/b * sum_k alpha_k b_k)
+        # bounds max |x| over the block's exact states: every factor is >= 1, so the
+        # noise may be added first.  A computed step errs by a relative (n + 3) 2^-53
+        # or so of that bound, so the computed states stay within twice it while
+        # T * n is far below 1e15, and a bound of half the limit hides no divergence.
+        # NaN (inf * 0 included) and a negative alpha make the block screen every step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = np.maximum(np.maximum(1.0 + a * m1, a * m2 - 1.0), 1.0).prod()
+            reach = grow * (reach + a_row * _DRAW_RATIO * float(np.dot(a, b)))
+        screen = not (reach <= DIVERGENCE_LIMIT / 2 and a.min() >= 0.0)
         for j, k in enumerate(range(k0, k1)):
             if k == rec_list[rec_pos]:
                 stash[rec_pos - pos0] = x
                 rec_pos += 1
             # x - alpha(k) * (x @ L^T) + drive, in place: the same roundings.
             np.matmul(x, lt, out=x_new)
-            x_new *= alpha[k]
+            np.multiply(x_new, a_k[j], out=x_new)
             np.subtract(x, x_new, out=x_new)
             if noisy[j]:
-                x_new += drive[j]
+                np.add(x_new, drive[j], out=x_new)
             if k >= tail_from:
                 delta = np.abs(np.subtract(x_new, x, out=scratch), out=scratch).max(axis=1)
                 np.maximum(max_tail_delta, delta, where=alive, out=max_tail_delta)
@@ -150,14 +180,16 @@ def simulate(
             # so only a state that fails it (NaN and inf included) needs the
             # max |x| reduction, and only one that fails that the per-run check.
             # np.vdot, unlike np.dot, overflows to inf without a RuntimeWarning.
-            if not np.vdot(x, x) <= _SCREEN:
+            if screen and not np.vdot(x, x) <= _SCREEN:
                 if not np.abs(x, out=scratch).max() <= DIVERGENCE_LIMIT:
                     bad = alive & ~(scratch.max(axis=1) <= DIVERGENCE_LIMIT)
                     diverged_at[bad] = k + 1
                     alive &= ~bad
                     x[~alive] = 0.0
-        if rec_pos > pos0:
-            flush(pos0, rec_pos - pos0)
+        if screen:
+            reach = float(np.abs(x, out=scratch).max())
+    if rec_pos > pos0:
+        flush(pos0, rec_pos - pos0)
     if rec_list[rec_pos] == t_total:
         stash[0] = x
         flush(rec_pos, 1)

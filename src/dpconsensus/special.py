@@ -3,8 +3,9 @@
 ``log_scaled_upper_gamma`` returns log(e^z * z^-a * Gamma(a, z)), the form
 the beta < 1 privacy bound needs: it stays finite where e^z and Gamma(a, z)
 themselves leave the float range.  Implemented directly (power series for
-z < a + 1, Lentz continued fraction otherwise) rather than through scipy's
-regularized variant, which underflows long before the scaled value does.
+0 < a and z < a + 1, Lentz continued fraction otherwise, which also covers
+every shape a <= 0) rather than through scipy's regularized variant, which
+underflows long before the scaled value does and needs a > 0.
 
 ``t975``, Student's t two-sided 95% point, sizes the rate fit's interval.
 """
@@ -33,7 +34,11 @@ def _lower_series(a: float, z: float) -> float:
 
 
 def _lentz(a: float, z: float) -> float:
-    """h = e^z * z^-a * Gamma(a, z) via Lentz's continued fraction; z >= a + 1."""
+    """h = e^z * z^-a * Gamma(a, z) via Lentz's continued fraction.
+
+    Legendre's fraction converges for every real a at z > 0, fast once
+    z >= a + 1; one that has not converged within ``_MAX_ITER`` terms raises.
+    """
     tiny = 1e-300
     b = z + 1.0 - a
     c = 1.0 / tiny
@@ -52,20 +57,18 @@ def _lentz(a: float, z: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            break
-    return h
+            return h
+    raise ValueError(f"continued fraction for Gamma({a:g}, {z:g}) did not converge")
 
 
 def log_scaled_upper_gamma(a: float, z: float) -> float:
-    """log(e^z * z^-a * Gamma(a, z)) for a > 0, z > 0.
+    """log(e^z * z^-a * Gamma(a, z)) for real a and z > 0.
 
     In Lentz's form the scaled value is the continued fraction h itself.
     """
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
     if z <= 0.0:
         raise ValueError("lower limit must be positive")
-    if z >= a + 1.0:
+    if a <= 0.0 or z >= a + 1.0:
         return math.log(_lentz(a, z))
     q = 1.0 - _lower_series(a, z)
     if q <= 0.0:

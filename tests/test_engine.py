@@ -1,8 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpconsensus import _kernels, engine
 from dpconsensus.engine import limit_statistics, record_points, run_many
@@ -194,33 +197,41 @@ def _reference_batch(x0, graph, gauge, sched, noise, t, runs, tail_start, stride
 
 # Fig. 1(a) has n = 5 agents, so a block spans max(1, 2**16 // (5 * runs)) steps.
 @pytest.mark.parametrize(
-    "sched, noise, t, runs, stride, tail_start, block, diverges",
+    "sched, noise, t, runs, stride, tail_start, block, diverges, shift",
     [
-        (PowerStep(0.7, 1, 0.02), PowerNoise(1e3, 0.0, a2=1.0), 3001, 40, 10, 2500, 327, "all"),
-        (PowerStep(0.7, 1, 0.02), PowerNoise(1e3, 0.1, 1, 1), 3001, 40, 10, 2500, 327, "all"),  # b(0) = 0
-        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 3001, 40, 10, 2500, 327, "none"),
-        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 25, 13_200, 10, 20, 1, "none"),
-        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 655, 40, 10, 600, 327, "none"),
-        (PowerStep(8.7, 1, 1), PowerNoise(1e3, 0.0, a2=1.0), 60, 1638, 1, 10, 8, "some"),
+        (PowerStep(0.7, 1, 0.02), PowerNoise(1e3, 0.0, a2=1.0), 3001, 40, 10, 2500, 327, "all", 0.0),
+        (PowerStep(0.7, 1, 0.02), PowerNoise(1e3, 0.1, 1, 1), 3001, 40, 10, 2500, 327, "all", 0.0),  # b(0) = 0
+        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 3001, 40, 10, 2500, 327, "none", 0.0),
+        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 25, 13_200, 10, 20, 1, "none", 0.0),
+        (PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1), 655, 40, 10, 600, 327, "none", 0.0),
+        (PowerStep(8.7, 1, 1), PowerNoise(1e3, 0.0, a2=1.0), 60, 1638, 1, 10, 8, "some", 0.0),
+        (PowerStep(10, 10, 1), PowerNoise(1, 0.1, 10, 1), 60, 1638, 1, 10, 8, "none", 3e11),
     ],
     ids=[
         "constant-noise-diverges", "offset1-noise-diverges", "offset1-noise-stable",
         "one-step-blocks", "one-step-last-block", "run0-diverges-mid-block",
+        "bound-fails-then-holds",
     ],
 )
 def test_kernel_matches_stepwise_reference(
-    fig1a, gauge1a, x0, sched, noise, t, runs, stride, tail_start, block, diverges
+    fig1a, gauge1a, x0, sched, noise, t, runs, stride, tail_start, block, diverges, shift
 ):
-    """Block noise, the reused buffers and the one-reduction divergence check change no output.
+    """Block noise, the reused buffers and the skipped divergence screen change no output.
 
     The first three cases end on a short block (T = 3001 is not a multiple
     of 327) with runs diverging at different steps; the others cover blocks
     of one step (M * n > 2**16), a last block of one step (655 = 2 * 327 + 1),
     and run 0 diverging mid-block while y is recorded at every step, so dead
     rows are reset while the live ones go on through the swapped states.
+    The last starts at |x0| = 3e11 along the gauge, which L leaves alone, with
+    alpha(0) * c_max = 3: while alpha(k) * c_max > 1 the a-priori bound on
+    max |x| grows past half the limit, so the first three blocks (k < 24)
+    screen every step, and the later ones, anchored at the measured 3e11,
+    skip the screen.
     """
     assert max(1, _kernels._BLOCK_ELEMENTS // (runs * fig1a.n)) == block
     assert t % block != 0 or block == 1
+    x0 = x0 + shift * gauge1a
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore")
         ks, res = run_many(
@@ -247,6 +258,51 @@ def test_kernel_matches_stepwise_reference(
         assert not np.isnan(res.y_rec[res.diverged_at[0] - 1]).any()  # y recorded up to it
     else:
         assert not dead.any()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(2, 12),
+    runs=st.sampled_from([1, 2, 7]),
+    ratio=st.floats(0.2, 12.0, exclude_min=True, exclude_max=True),
+    beta=st.floats(0.5, 1.0),
+    a2=st.floats(1.0, 5.0),
+    b_floor=st.floats(0.0, 10.0),
+    gamma=st.floats(-0.5, 0.5),
+    x_mag=st.floats(0.0, 11.0),
+    t=st.integers(1, 200),
+    data=st.data(),
+)
+def test_kernel_matches_reference_on_random_graphs(n, runs, ratio, beta, a2, b_floor, gamma, x_mag, t, data):
+    """Skipping the divergence screen hides no divergence and changes no output.
+
+    alpha(0) * c_max = ``ratio`` up to 12 lets the a-priori state bound fail
+    early and hold later, and some batches diverge; |x0| runs up to 1e11.
+    Blocks of 1 to 64 steps give a call many blocks, so screened blocks
+    re-anchor the bound and the record stash fills and flushes mid-run.
+    """
+    w, _ = random_balanced_graph(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n)
+    graph = SignedGraph(w)
+    gauge = check_structural_balance(graph)
+    sched = PowerStep(ratio * a2**beta / graph.degrees.max(), a2, beta)
+    noise = PowerNoise(b_floor, gamma, a2, data.draw(st.sampled_from([0, 1])))
+    x0 = np.random.default_rng(n).uniform(-1.0, 1.0, n) * 10.0**x_mag
+    stride, tail_start = data.draw(st.integers(1, 10)), data.draw(st.integers(0, t))
+    block = data.draw(st.integers(1, 64))
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore")
+        with mock.patch.object(_kernels, "_BLOCK_ELEMENTS", block * runs * n):
+            _, res = run_many(
+                x0, graph, gauge, sched, noise, t, runs,
+                record_idx=record_points(t, stride), tail_start=tail_start,
+            )
+        _, diverged_at, v, x_final, _, _, tail = _reference_batch(
+            x0, graph, gauge, sched, noise, t, runs, tail_start, stride
+        )
+    np.testing.assert_array_equal(res.diverged_at, diverged_at)
+    np.testing.assert_array_equal(res.v, v)
+    np.testing.assert_array_equal(res.x_final, x_final)
+    np.testing.assert_array_equal(res.max_tail_delta, tail)
 
 
 @pytest.mark.parametrize("n, runs", [(5, 1), (17, 40)], ids=["one-run", "n17"])

@@ -730,23 +730,42 @@ class TestCli:
         assert (cfg.horizon, cfg.runs, cfg.stride) == (200, 8, 10)
         assert all(type(v) is int for v in (cfg.horizon, cfg.runs, cfg.stride))
 
-    def test_fig2a_artifacts_are_pinned(self, tmp_path, capsys):
-        """SHA-256 of each ``simulate --config fig2a --runs 2 --out`` artifact.
+    @pytest.mark.parametrize(
+        "config, runs, pins",
+        [
+            ("fig2a", 2, (
+                "c630601b065741b00b778bf48fdabafd0c42fe40ae53a36be5cd8a7bccccbeb5",
+                "2d883b018c56548d3d352bda8d6f90f473f368253445997a2f7cdff216a5ebe4",
+                "363443ab0cf497293b2e980e6ec56c28355f4c0430f0b54996d22754898dba2a",
+            )),
+            ("fig3a", 20, (
+                "8935fcd1b3becf568fab5a9720d4ebe12ad8f5297a76f5888a5392956582947d",
+                "67e577d69c0f419ac6c5331c4f917835aed1f84663bd0e0e6705a9bc65b55933",
+                "55d34021f6e6e9287079ae94f87af02f74645101dfb72c7d522cfd189843a2f9",
+            )),
+            ("sec4_text", 50, (
+                "64cea00e2d67d25db545e720ab19c0764d19c5663d56e433f757bae560940c83",
+                "3f9986f8f9a40d139e86f45047dfda5d8bacaad4cd87e2f5ba79c446b5774405",
+                "42116c4bd33773c9eb22306190f564ac8a95a39d7fae1e2d116267297d09c19f",
+            )),
+        ],
+        ids=["fig2a", "fig3a", "sec4_text"],
+    )
+    def test_fig2a_artifacts_are_pinned(self, tmp_path, capsys, config, runs, pins):
+        """SHA-256 of each ``simulate --config <config> --runs <runs> --out`` artifact.
 
-        Recorded with the kernel that allocated its blocks and states afresh
-        at every step, so any drift in the last bit of a draw, a step or a
-        record fails here.  The hashes hold for one NumPy/BLAS build: a BLAS
-        with other rounding in its matmul kernels gives other bits.
+        fig2a's were recorded with the kernel that allocated its blocks and
+        states afresh at every step, and fig3a's (fig1b, alpha(0) * c_max = 3)
+        and sec4_text's with the one that screened every step for divergence,
+        so any drift in the last bit of a draw, a step or a record fails here.
+        The hashes hold for one NumPy/BLAS build: a BLAS with other rounding
+        in its matmul kernels gives other bits.
         """
-        rc = cli.main(["simulate", "--config", "fig2a", "--runs", "2", "--out", str(tmp_path)])
+        rc = cli.main(["simulate", "--config", config, "--runs", str(runs), "--out", str(tmp_path)])
         assert rc == cli.EXIT_OK
         capsys.readouterr()
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-        assert got == {
-            "aggregate.csv": "c630601b065741b00b778bf48fdabafd0c42fe40ae53a36be5cd8a7bccccbeb5",
-            "report.json": "2d883b018c56548d3d352bda8d6f90f473f368253445997a2f7cdff216a5ebe4",
-            "trajectory_000.csv": "363443ab0cf497293b2e980e6ec56c28355f4c0430f0b54996d22754898dba2a",
-        }
+        assert got == dict(zip(["aggregate.csv", "report.json", "trajectory_000.csv"], pins))
 
     def test_alias_serves_its_target_under_its_own_name(self):
         alias = named_config("fig2_caption")

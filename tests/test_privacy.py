@@ -278,6 +278,23 @@ class TestEpsilonInfinity:
         fin = privacy.epsilon_finite(sched, noise, 1.0, 1.0, 1_000_000)
         assert bound.value >= fin
 
+    def test_case3_covers_gamma_of_one_and_above(self):
+        # Shape (1 - gamma) / (1 - beta) <= 0 here, which the continued
+        # fraction covers; the bound must still dominate the loss at T = 1e6.
+        sched, noise = PowerStep(0.5, 1.0, 0.75), offset1_noise(1.0, 1.0, 1.0)
+        bound = privacy.epsilon_infinity_bound(sched, noise, 1.0, 1.0)
+        assert bound.case == "case3" and bound.convergent
+        assert bound.value == pytest.approx(2.445, abs=1e-3)
+        assert privacy.epsilon_finite(sched, noise, 1.0, 1.0, 1_000_000) == pytest.approx(1.680, abs=1e-3)
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            beta, a2, c_min = rng.uniform(0.51, 0.99), rng.uniform(0.5, 4.0), rng.uniform(0.5, 3.0)
+            sched = PowerStep(rng.uniform(0.01, 0.99) * a2**beta / c_min, a2, beta)
+            noise, delta = offset1_noise(rng.uniform(0.1, 10.0), rng.uniform(1.0, 3.0), a2), rng.uniform(0.1, 2.0)
+            bound = privacy.epsilon_infinity_bound(sched, noise, c_min, delta)
+            assert bound.case == "case3" and bound.convergent
+            assert bound.value >= privacy.epsilon_finite(sched, noise, c_min, delta, 1_000_000)
+
     def test_case4_tag_and_dominates_finite(self):
         sched = PowerStep(0.5, 1.0, 0.7)
         noise = offset1_noise(1.0, -0.4, 1.0)

@@ -1,11 +1,13 @@
 import math
 import timeit
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy import special as ssp
 
+from dpconsensus import special
 from dpconsensus.special import log_scaled_upper_gamma, t975
 
 from conftest import upper_incomplete_gamma
@@ -48,21 +50,30 @@ def test_integral_substitution_identity():
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        log_scaled_upper_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
         log_scaled_upper_gamma(1.0, -0.5)
+    with pytest.raises(ValueError):
+        log_scaled_upper_gamma(0.0, 0.0)
 
 
 def test_log_scaled_matches_direct_form():
-    # log(e^z z^-a Gamma(a, z)) against mpmath's gammainc, on both branches.
+    # log(e^z z^-a Gamma(a, z)) against mpmath's gammainc, on both branches,
+    # and for shapes down to -4, which take the continued fraction at any z.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        a = rng.uniform(0.05, 30.0)
-        z = rng.uniform(0.01, 60.0)
+    draws = [(rng.uniform(0.05, 30.0), rng.uniform(0.01, 60.0)) for _ in range(200)]
+    draws += [(rng.uniform(-4.0, 0.05), rng.uniform(0.05, 60.0)) for _ in range(100)]
+    for a, z in draws:
         with mpmath.workdps(50):
             ref = mpmath.log(mpmath.exp(z) * mpmath.power(z, -a) * mpmath.gammainc(a, z))
         assert log_scaled_upper_gamma(a, z) == pytest.approx(float(ref), rel=1e-12, abs=1e-12)
+
+
+def test_unconverged_fraction_raises():
+    # Near z = 0 the fraction needs many terms; cut short, it raises rather
+    # than return a partial value.
+    assert math.isfinite(log_scaled_upper_gamma(-0.5, 0.05))
+    with mock.patch.object(special, "_MAX_ITER", 50), pytest.raises(ValueError, match="converge"):
+        log_scaled_upper_gamma(-0.5, 0.05)
 
 
 @pytest.mark.parametrize("a, z", [(7e4, 1.5e5), (7e3, 2e4), (300.0, 100.0)])
