@@ -8,11 +8,18 @@ batch shape.  The state recursion itself stays one step at a time.
 
 Every array the size of a block or of the batch state is allocated once per
 call and reused: the draws and the drive of each block, a stash of recorded
-states, two states that swap each step, and one scratch state for the |x|
-checks.  No step or block allocates a temporary of that size.  A recorded
-state is only copied into the stash; the stash is reduced, column by column
-in the summation order of NumPy's row sums (``row_sum``), only when the next
-block's records would not fit in it, and once at the end.
+states, an (M, C) buffer of disagreements, two states that swap each step,
+and one scratch state for the |x| checks.  No step or block allocates a
+temporary of that size.  A recorded state is only copied into the stash; the
+stash is reduced, column by column in the summation order of NumPy's row
+sums (``row_sum``), only when the next block's records would not fit in it,
+and once at the end.
+
+Each reduction writes its records' V(k) as columns of the disagreement
+buffer, which is reduced to the mean and the deciles over the runs whenever
+it fills and once at the end, so no (M, R) matrix of V is held.  NumPy sums a
+C-ordered block's columns row after row, as it does the whole matrix's, but
+a lone column pairwise, so a reduction takes two columns at least.
 
 The divergence check costs nothing in a block that provably cannot diverge:
 before each block an a-priori bound on max |x| is carried through the
@@ -52,7 +59,9 @@ def row_sum(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KernelResult:
-    v: np.ndarray  # (M, R) disagreement at record points
+    v0: np.ndarray  # (R,) disagreement V(k) at record points, run_ids[0] only
+    v_mean: np.ndarray  # (R,) mean V(k) over the runs not dropped; NaN where one of them is dead
+    v_deciles: np.ndarray  # (3, R) 10/50/90% quantiles of the same
     gmean: np.ndarray  # (R,) gauge mean at record points, run_ids[0] only
     x_final: np.ndarray  # (M, n)
     diverged_at: np.ndarray  # (M,) step index, -1 if finite throughout
@@ -72,6 +81,8 @@ def simulate(
     run_ids: np.ndarray,
     record_idx: np.ndarray,
     tail_start: int | None = None,
+    *,
+    drop: np.ndarray | None = None,
 ) -> KernelResult:
     """Iterate x(k+1) = (I - alpha(k) L) x(k) + alpha(k) A w(k) for all runs.
 
@@ -80,6 +91,8 @@ def simulate(
     one above ``DIVERGENCE_LIMIT`` in magnitude; its later records are NaN and its
     state is reset to zero.  Run ``run_ids[0]``'s states and transmissions
     y(k) = x(k) + w(k) are recorded too (y = x at a noiseless step, NaN at k = T).
+    The aggregate leaves out the runs where the (M,) mask ``drop`` is true;
+    over no run it is NaN.
     """
     n = weights.shape[0]
     m = len(run_ids)
@@ -95,7 +108,10 @@ def simulate(
     tail_from = t_total if tail_start is None else tail_start
 
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
-    v = np.full((m, n_rec), np.nan)
+    v0 = np.empty(n_rec)
+    v_mean = np.full(n_rec, np.nan)
+    v_deciles = np.full((3, n_rec), np.nan)
+    keep = slice(None) if drop is None else ~np.asarray(drop, dtype=bool)
     x_rec = np.full((n_rec, n), np.nan)
     diverged_at = np.full(m, -1, dtype=np.int64)
     max_tail_delta = np.zeros(m)
@@ -116,6 +132,9 @@ def simulate(
     draws = np.empty((block, m, n), dtype=np.uint64)
     drives = np.empty((block, m, n), dtype=np.uint64)
     stash = np.empty((block, m, n))
+    cols = max(2, min(n_rec, _BLOCK_ELEMENTS // m))
+    vbuf = np.zeros((m if drop is None else int(keep.sum()), cols))
+    filled = done = 0  # vbuf's columns in use; the records already aggregated
     x_new = np.empty_like(x)
     scratch = np.empty_like(x)
 
@@ -126,6 +145,7 @@ def simulate(
         runs go on from the zeros the divergence check reset them to, so
         rows are reduced whole and dead ones masked.
         """
+        nonlocal filled
         s, sl = stash[:count], slice(pos, pos + count)
         ks = rec[sl]
         live = (diverged_at < 0) | (diverged_at > ks[:, None])
@@ -134,7 +154,26 @@ def simulate(
         z = np.multiply(s, gauge, out=s)
         mu = row_sum(z) / n  # z.mean(axis=-1), bit for bit
         dev = np.subtract(z, mu[..., None], out=z)
-        v[:, sl] = np.where(live, row_sum(np.square(dev, out=dev)), np.nan).T
+        vk = np.where(live, row_sum(np.square(dev, out=dev)), np.nan)
+        v0[sl] = vk[:, 0]
+        vk = vk[:, keep]
+        j = 0
+        while j < count:
+            take = min(count - j, cols - filled)
+            vbuf[:, filled : filled + take] = vk[j : j + take].T
+            filled, j = filled + take, j + take
+            if filled == cols:
+                aggregate()
+
+    def aggregate():
+        """The mean and the deciles of the records in vbuf, which it empties."""
+        nonlocal filled, done
+        vb, sl = vbuf[:, : max(filled, 2)], slice(done, done + filled)
+        if len(vb):
+            with np.errstate(invalid="ignore"):  # inf - inf where a state overflowed V
+                v_mean[sl] = vb.mean(axis=0)[:filled]
+                v_deciles[:, sl] = np.quantile(vb, [0.1, 0.5, 0.9], axis=0, overwrite_input=True)[:, :filled]
+        filled, done = 0, done + filled
 
     pos0 = 0  # the first record still in the stash
     for k0 in range(0, t_total, block):
@@ -193,6 +232,8 @@ def simulate(
     if rec_list[rec_pos] == t_total:
         stash[0] = x
         flush(rec_pos, 1)
+    if filled:
+        aggregate()
     # Run 0's gauge mean, and its y(k) = x(k) + w(k) at k < T: a draw is a pure function
     # of its key, so w(k) is the one the loop drew.  Only b(k) > 0 adds it: -0.0 stays -0.0.
     gmean = row_sum(x_rec * gauge) / n
@@ -202,7 +243,9 @@ def simulate(
     y_rec[: len(ks)] = np.where(bk > 0.0, xs + laplace_from_keys(keys[0], ks[:, None], bk), xs)
 
     return KernelResult(
-        v=v,
+        v0=v0,
+        v_mean=v_mean,
+        v_deciles=v_deciles,
         gmean=gmean,
         x_final=np.where(alive[:, None], x, np.nan),
         diverged_at=diverged_at,

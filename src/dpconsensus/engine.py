@@ -77,10 +77,12 @@ def run_many(
     seed: int = DEFAULT_SEED,
     record_idx: np.ndarray | None = None,
     tail_start: int | None = None,
+    drop: np.ndarray | None = None,
 ):
     """Simulate runs 0, ..., runs - 1; returns (record_idx, KernelResult).
 
     ``record_idx`` defaults to ``record_points(t)``; run 0's x and y are recorded.
+    The aggregate of V leaves out the runs where the (runs,) mask ``drop`` is true.
     """
     if t < 1:
         raise ValueError("horizon must be >= 1")
@@ -107,6 +109,7 @@ def run_many(
         np.arange(runs, dtype=np.int64),
         record_idx,
         tail_start=tail_start,
+        drop=drop,
     )
     return record_idx, res
 

@@ -283,8 +283,11 @@ def estimate_rate(ks, v_mean, window: tuple[float, float]) -> RateFit:
         raise ValueError("need at least 10 recorded points in the window")
     if np.any(v[mask] <= 0):
         raise NonpositiveValuesError("nonpositive disagreement in window; use a later window")
-    # scipy.stats.linregress's arithmetic, without importing scipy.stats.
-    sxx, sxy, _, syy = np.cov(np.log(ks[mask]), np.log(v[mask]), bias=1).flat
+    # scipy.stats.linregress's arithmetic, without importing scipy.stats, on exactly
+    # rounded sums: a BLAS dot product's bits depend on the CPU kernels it picks.
+    x, y = np.log(ks[mask]), np.log(v[mask])
+    dx, dy = x - math.fsum(x.tolist()) / len(x), y - math.fsum(y.tolist()) / len(y)
+    sxx, sxy, syy = (math.fsum((p * q).tolist()) / len(x) for p, q in ((dx, dx), (dx, dy), (dy, dy)))
     r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
     slope = sxy / sxx
     dof = int(mask.sum()) - 2
@@ -308,37 +311,36 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Aggrega
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    ks, res = engine.run_many(
-        cfg.x0,
-        cfg.graph,
-        gauge,
-        cfg.step,
-        cfg.noise,
-        cfg.horizon,
-        cfg.runs,
-        seed=cfg.seed,
-        record_idx=engine.record_points(cfg.horizon, cfg.stride),
-    )
-    diverged = int(np.sum(res.diverged_at >= 0))
+
+    def batch(drop=None):
+        return engine.run_many(
+            cfg.x0, cfg.graph, gauge, cfg.step, cfg.noise, cfg.horizon, cfg.runs,
+            seed=cfg.seed, record_idx=engine.record_points(cfg.horizon, cfg.stride), drop=drop,
+        )
+
+    ks, res = batch()
+    dead = res.diverged_at >= 0
+    diverged = int(dead.sum())
     if diverged > cfg.runs * 0.01:
         raise ExperimentDivergence(diverged, cfg.runs)
-    if out_dir is not None and res.diverged_at[0] >= 0:
+    if out_dir is not None and dead[0]:
         raise engine.DivergenceError(int(res.diverged_at[0]))  # trajectory_000.csv is run 0
-    ok = res.diverged_at < 0
-    v0 = res.v[0].copy()  # trajectory_000.csv's V, before the quantile reorders res.v
-    v = res.v if ok.all() else res.v[ok]  # the batch's one (M, R) matrix unless a run diverged
-    terminal = (res.x_final[ok] * gauge).mean(axis=1)
-    v_mean = v.mean(axis=0)  # first: the partition below reorders each column's sum
-    v_q10, v_q50, v_q90 = np.quantile(v, [0.1, 0.5, 0.9], axis=0, overwrite_input=True)
+    if diverged:
+        # The aggregate leaves out every run that diverged, which the kernel learns only
+        # after it has aggregated their early records.  The noise is counter-based, so
+        # the same batch again gives every kept run's records bit for bit.
+        ks, res = batch(drop=dead)
+    terminal = (res.x_final[~dead] * gauge).mean(axis=1)
+    v_q10, v_q50, v_q90 = res.v_deciles
     rate = None
     if cfg.horizon >= 100:
         try:
-            rate = estimate_rate(ks, v_mean, (cfg.horizon / 10, cfg.horizon))
+            rate = estimate_rate(ks, res.v_mean, (cfg.horizon / 10, cfg.horizon))
         except ValueError:
             rate = None
     report = AggregateReport(
         ks=ks,
-        v_mean=v_mean,
+        v_mean=res.v_mean,
         v_q10=v_q10,
         v_q50=v_q50,
         v_q90=v_q90,
@@ -350,19 +352,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Aggrega
         runs=cfg.runs,
     )
     if out_dir is not None:
-        _write_artifacts(report, res, v0, out_dir, cfg)
+        _write_artifacts(report, res, out_dir, cfg)
     return report
 
 
-def _write_artifacts(report, res, v0, out_dir, cfg) -> None:
-    """report.json, aggregate.csv and trajectory_000.csv (run 0 of the batch, V ``v0``; y only with noise)."""
+def _write_artifacts(report, res, out_dir, cfg) -> None:
+    """report.json, aggregate.csv and trajectory_000.csv (run 0 of the batch; y only with noise)."""
     n = res.x_rec.shape[1]
     cols = ["k", "V", "gauge_mean"] + [f"x_{i + 1}" for i in range(n)]
     states = [res.x_rec]
     if cfg.noise is not None:
         cols += [f"y_{i + 1}" for i in range(n)]
         states.append(res.y_rec)
-    _write_csv(os.path.join(out_dir, "trajectory_000.csv"), cols, report.ks, [v0, res.gmean, *states])
+    _write_csv(os.path.join(out_dir, "trajectory_000.csv"), cols, report.ks, [res.v0, res.gmean, *states])
     _write_csv(
         os.path.join(out_dir, "aggregate.csv"),
         ["k", "v_mean", "v_q10", "v_q50", "v_q90"],

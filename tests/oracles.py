@@ -145,7 +145,7 @@ def artifact_csvs(report, res, noisy: bool) -> dict[str, bytes]:
         states.append(res.y_rec)
     traj = [",".join(cols)]
     for idx, k in enumerate(report.ks):
-        row = [str(int(k)), repr(float(res.v[0, idx])), repr(float(res.gmean[idx]))]
+        row = [str(int(k)), repr(float(res.v0[idx])), repr(float(res.gmean[idx]))]
         row += [repr(float(v)) for s in states for v in s[idx]]
         traj.append(",".join(row))
     agg = ["k,v_mean,v_q10,v_q50,v_q90"]

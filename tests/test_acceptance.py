@@ -94,7 +94,7 @@ def test_criterion_02_variance_law(fig1a, gauge):
 
 def test_criterion_03_mean_square_convergence(batch_a):
     rec, res = batch_a
-    v_mean = res.v.mean(axis=0)  # at k = 0, 100, 1000, 10000
+    v_mean = res.v_mean  # at k = 0, 100, 1000, 10000
     small = v_mean[-1] < 1e-2 * v_mean[0]
     drops = np.diff(v_mean[1:])  # across the decade checkpoints
     slack = 0.05 * v_mean[1:-1]
@@ -128,7 +128,7 @@ def test_criterion_04_mean_square_rate(fig1a, gauge):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rec, res = engine.run_many(X0, fig1a, gauge, STEP_B, noise, t, m, seed=SEED + 2)
-    fit = experiments.estimate_rate(rec, res.v.mean(axis=0), (1000, 10_000))
+    fit = experiments.estimate_rate(rec, res.v_mean, (1000, 10_000))
     ok = low <= fit.slope <= high
     _line(
         4, "mean-square-rate", ok,

@@ -21,7 +21,7 @@ from dpconsensus.schedules import (
 )
 
 from conftest import random_balanced_graph
-from oracles import apply_update, disagreement, laplace_sample, step
+from oracles import aggregate_by_copy, apply_update, disagreement, laplace_sample, step
 
 TWO_PLUS = SignedGraph.from_edges(2, [(1, 2, 1.0)])
 TWO_MINUS = SignedGraph.from_edges(2, [(1, 2, -1.0)])
@@ -124,7 +124,7 @@ def test_record_points_structure():
 def test_run_records_consistent_series(fig1a, gauge1a, x0):
     sched, noise = PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1)
     ks, res = run_many(x0, fig1a, gauge1a, sched, noise, 200, 1)
-    v = res.v[0]
+    v = res.v0
     assert v[0] == pytest.approx(155.2)
     assert np.all(v >= 0)
     for idx in (0, len(ks) - 1):
@@ -195,6 +195,29 @@ def _reference_batch(x0, graph, gauge, sched, noise, t, runs, tail_start, stride
     return ks, diverged_at, v, x_final, x_rec, y_rec, tail
 
 
+def _same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def _check_aggregates(batch, v, dead):
+    """``batch(drop)``'s run 0 V, mean and deciles, bit for bit, against the reference's full V.
+
+    The batch runs with no ``drop`` and with ``dead`` dropped; the oracle aggregates a copy of
+    V's kept rows, and over no row the aggregate is NaN.  The two passes differ in nothing
+    else.  Returns the first pass.
+    """
+    first = batch(None)
+    for drop, (_, res) in [(None, first), (dead, batch(dead))]:
+        keep = np.ones(len(v), dtype=bool) if drop is None else ~drop
+        want = aggregate_by_copy(v, keep) if keep.any() else (np.full(v.shape[1], np.nan),) * 4
+        for got, w in zip((res.v_mean, *res.v_deciles), want):
+            _same_bits(got, w)
+        _same_bits(res.v0, v[0])
+        for name in ("diverged_at", "x_final", "x_rec", "y_rec", "gmean", "max_tail_delta"):
+            _same_bits(getattr(res, name), getattr(first[1], name))
+    return first
+
+
 # Fig. 1(a) has n = 5 agents, so a block spans max(1, 2**16 // (5 * runs)) steps.
 @pytest.mark.parametrize(
     "sched, noise, t, runs, stride, tail_start, block, diverges, shift",
@@ -234,15 +257,17 @@ def test_kernel_matches_stepwise_reference(
     x0 = x0 + shift * gauge1a
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore")
-        ks, res = run_many(
-            x0, fig1a, gauge1a, sched, noise, t, runs,
-            record_idx=record_points(t, stride), tail_start=tail_start,
-        )
         want = _reference_batch(x0, fig1a, gauge1a, sched, noise, t, runs, tail_start, stride)
-    ref_ks, diverged_at, v, x_final, x_rec, y_rec, tail = want
+        ref_ks, diverged_at, v, x_final, x_rec, y_rec, tail = want
+        ks, res = _check_aggregates(
+            lambda drop: run_many(
+                x0, fig1a, gauge1a, sched, noise, t, runs,
+                record_idx=record_points(t, stride), tail_start=tail_start, drop=drop,
+            ),
+            v, diverged_at >= 0,
+        )
     np.testing.assert_array_equal(ks, ref_ks)
     np.testing.assert_array_equal(res.diverged_at, diverged_at)
-    np.testing.assert_array_equal(res.v, v)
     np.testing.assert_array_equal(res.x_final, x_final)
     np.testing.assert_array_equal(res.x_rec, x_rec[0])  # states are recorded for run 0 only
     np.testing.assert_array_equal(res.y_rec, y_rec[0])
@@ -291,16 +316,18 @@ def test_kernel_matches_reference_on_random_graphs(n, runs, ratio, beta, a2, b_f
     block = data.draw(st.integers(1, 64))
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore")
-        with mock.patch.object(_kernels, "_BLOCK_ELEMENTS", block * runs * n):
-            _, res = run_many(
-                x0, graph, gauge, sched, noise, t, runs,
-                record_idx=record_points(t, stride), tail_start=tail_start,
-            )
         _, diverged_at, v, x_final, _, _, tail = _reference_batch(
             x0, graph, gauge, sched, noise, t, runs, tail_start, stride
         )
+        with mock.patch.object(_kernels, "_BLOCK_ELEMENTS", block * runs * n):
+            _, res = _check_aggregates(
+                lambda drop: run_many(
+                    x0, graph, gauge, sched, noise, t, runs,
+                    record_idx=record_points(t, stride), tail_start=tail_start, drop=drop,
+                ),
+                v, diverged_at >= 0,
+            )
     np.testing.assert_array_equal(res.diverged_at, diverged_at)
-    np.testing.assert_array_equal(res.v, v)
     np.testing.assert_array_equal(res.x_final, x_final)
     np.testing.assert_array_equal(res.max_tail_delta, tail)
 
@@ -320,12 +347,37 @@ def test_block_drive_rounds_as_one_step_at_a_time(n, runs):
     x0 = np.linspace(-10.0, 10.0, n)
     sched, noise = PowerStep(0.5 / graph.degrees.max(), 1, 1), PowerNoise(1, 0.1, 1, 1)
     t = 400
-    _, res = run_many(x0, graph, gauge, sched, noise, t, runs, record_idx=record_points(t, 10))
     _, _, v, x_final, x_rec, y_rec, _ = _reference_batch(x0, graph, gauge, sched, noise, t, runs, t, 10)
-    np.testing.assert_array_equal(res.v, v)
+    _, res = _check_aggregates(
+        lambda drop: run_many(x0, graph, gauge, sched, noise, t, runs, record_idx=record_points(t, 10), drop=drop),
+        v, np.zeros(runs, dtype=bool),
+    )
     np.testing.assert_array_equal(res.x_final, x_final)
     np.testing.assert_array_equal(res.x_rec, x_rec[0])
     np.testing.assert_array_equal(res.y_rec, y_rec[0])
+
+
+@pytest.mark.parametrize(
+    "runs, t, stride, cols, last",
+    [(400, 326, 1, 163, 1), (1, 200, 10, 84, 84)],
+    ids=["last-chunk-one-record", "one-run"],
+)
+def test_aggregate_chunks_match_the_whole_matrix(fig1a, gauge1a, x0, runs, t, stride, cols, last):
+    """The aggregate of V in buffer chunks has the bits of the whole (M, R) matrix's.
+
+    At M = 400 the buffer holds 163 records, so the 327 records of T = 326 end
+    on a chunk of the lone k = T record, which NumPy would sum pairwise were it
+    reduced as one column.  At M = 1 each mean is a single run's V.
+    """
+    sched, noise = PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1)
+    rec = record_points(t, stride)
+    assert max(2, min(len(rec), _kernels._BLOCK_ELEMENTS // runs)) == cols
+    assert (len(rec) - 1) % cols + 1 == last
+    _, diverged_at, v, *_ = _reference_batch(x0, fig1a, gauge1a, sched, noise, t, runs, t, stride)
+    _check_aggregates(
+        lambda drop: run_many(x0, fig1a, gauge1a, sched, noise, t, runs, record_idx=rec, drop=drop),
+        v, diverged_at >= 0,
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 31])
@@ -370,14 +422,16 @@ def test_divergence_screen_matches_per_entry_check(fig1a, gauge1a, graph, x0, di
     t, runs = 30, 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, res = run_many(
-            x0, graph, gauge, frozen, silent, t, runs, record_idx=record_points(t, 1), tail_start=20
-        )
         want = _reference_batch(x0, graph, gauge, frozen, silent, t, runs, 20, 1)
-    _, ref_diverged_at, v, x_final, x_rec, y_rec, tail = want
+        _, ref_diverged_at, v, x_final, x_rec, y_rec, tail = want
+        _, res = _check_aggregates(
+            lambda drop: run_many(
+                x0, graph, gauge, frozen, silent, t, runs, record_idx=record_points(t, 1), tail_start=20, drop=drop
+            ),
+            v, ref_diverged_at >= 0,
+        )
     np.testing.assert_array_equal(res.diverged_at, np.full(runs, diverged_at))
     np.testing.assert_array_equal(res.diverged_at, ref_diverged_at)
-    np.testing.assert_array_equal(res.v, v)
     np.testing.assert_array_equal(res.x_final, x_final)
     np.testing.assert_array_equal(res.x_rec, x_rec[0])
     np.testing.assert_array_equal(res.y_rec, y_rec[0])
@@ -393,7 +447,8 @@ def test_runs_reproducible(fig1a, gauge1a, x0):
     sched, noise = PowerStep(0.3, 1, 1), PowerNoise(1, 0.1, 1, 1)
     _, a = run_many(x0, fig1a, gauge1a, sched, noise, 300, 5, seed=DEFAULT_SEED)
     _, b = run_many(x0, fig1a, gauge1a, sched, noise, 300, 5, seed=DEFAULT_SEED)
-    np.testing.assert_array_equal(a.v, b.v)
+    for got, want in [(a.v0, b.v0), (a.v_mean, b.v_mean), (a.v_deciles, b.v_deciles)]:
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(a.x_final, b.x_final)
 
 

@@ -39,7 +39,7 @@ from dpconsensus.schedules import (
     PowerStep,
 )
 
-from oracles import aggregate_by_copy, artifact_csvs
+from oracles import artifact_csvs
 
 
 def minimal_doc(**over):
@@ -200,14 +200,14 @@ class TestRunExperiment:
         cfg = config_from_dict(minimal_doc(runs=12, horizon=300))
         rep = run_experiment(cfg)
         gauge = check_structural_balance(cfg.graph)
-        vs = []
-        for r in range(12):
-            _, res = engine.run_many(  # run r's draws do not depend on the batch size
-                cfg.x0, cfg.graph, gauge, cfg.step, cfg.noise, cfg.horizon, r + 1,
-                seed=cfg.seed, record_idx=engine.record_points(cfg.horizon, cfg.stride),
-            )
-            vs.append(res.v[r])
-        vs = np.array(vs)
+        ks = np.arange(cfg.horizon)
+        batch = (
+            cfg.graph.weights, cfg.graph.laplacian(), gauge, cfg.x0,
+            cfg.step.alpha(ks), cfg.noise.scale(ks), cfg.seed,
+        )
+        rec = engine.record_points(cfg.horizon, cfg.stride)
+        # Run r alone: its draws do not depend on the batch.
+        vs = np.array([_kernels.simulate(*batch, np.array([r]), rec).v0 for r in range(12)])
         assert np.allclose(rep.v_mean, vs.mean(axis=0), rtol=1e-12, atol=1e-12)
         assert np.allclose(rep.v_q50, np.quantile(vs, 0.5, axis=0), rtol=1e-12)
 
@@ -279,25 +279,28 @@ class TestRunExperiment:
 
 @pytest.mark.filterwarnings("ignore:alpha\\(0\\)\\*c_max:RuntimeWarning")
 @pytest.mark.parametrize("diverged", [(), (7,)], ids=["all-finite", "one-diverged"])
-def test_aggregate_holds_one_batch_matrix(tmp_path, monkeypatch, diverged):
-    """sec4_text at M = 400, T = 1e4: the traced peak holds the (M, R) matrix once.
+def test_aggregate_holds_no_batch_matrix(tmp_path, monkeypatch, diverged):
+    """sec4_text at M = 1000, T = 1e4: the traced peak holds no (M, R) matrix of V.
 
-    Besides V it may hold the kernel's three block buffers and, doubled for
+    It may hold the kernel's four block-sized buffers (the draws, the drive,
+    the record stash and the buffer of V's columns) and, doubled for
     temporaries of their sizes, the batch's smaller arrays: three of length T
     (steps, alpha, b), R * (2n + 8) values for the records (run 0's x and y,
-    the gauge mean, the record steps and their list, the aggregate's rows and
-    run 0's V), and six (M, n) states.  A run that diverged leaves its row
-    out, which takes one copy of V.  Either way the aggregate is the copy's.
+    V and gauge mean, the record steps and their list, and the aggregate's
+    rows) and six (M, n) states.  When the first pass reports a diverged
+    run, here run 7 marked as diverged at step 5000, the batch runs again
+    with that run dropped from the aggregate.
     """
-    cfg = dataclasses.replace(named_config("sec4_text"), runs=400, horizon=10_000)
-    run_many = engine.run_many
+    cfg = dataclasses.replace(named_config("sec4_text"), runs=1000, horizon=10_000)
+    run_many, passes = engine.run_many, []
 
-    def batch(*args, **kwargs):
-        ks, res = run_many(*args, **kwargs)
-        for r in diverged:  # as the kernel leaves a run that diverged at step 5000
-            res.diverged_at[r] = 5000
-            res.v[r, ks >= 5000] = np.nan
-            res.x_final[r] = np.nan
+    def batch(*args, drop=None, **kwargs):
+        ks, res = run_many(*args, drop=drop, **kwargs)
+        if drop is None:
+            for r in diverged:
+                res.diverged_at[r] = 5000
+                res.x_final[r] = np.nan
+        passes.append((drop, res))
         return ks, res
 
     run_experiment(dataclasses.replace(cfg, runs=2, horizon=200))  # lazy imports outside the trace
@@ -308,20 +311,19 @@ def test_aggregate_holds_one_batch_matrix(tmp_path, monkeypatch, diverged):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ks, res = batch(
-        cfg.x0, cfg.graph, check_structural_balance(cfg.graph), cfg.step, cfg.noise,
-        cfg.horizon, cfg.runs, seed=cfg.seed, record_idx=engine.record_points(cfg.horizon, cfg.stride),
-    )
     assert rep.diverged == len(diverged)
-    oracle = aggregate_by_copy(res.v, res.diverged_at < 0)
-    for got, want in zip((rep.v_mean, rep.v_q10, rep.v_q50, rep.v_q90), oracle):
+    assert passes[0][0] is None and len(passes) == 1 + len(diverged)
+    drop, res = passes[-1]
+    for got, want in zip((rep.v_mean, rep.v_q10, rep.v_q50, rep.v_q90), (res.v_mean, *res.v_deciles)):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    if diverged:
+        np.testing.assert_array_equal(drop, np.isin(np.arange(cfg.runs), diverged))
+        assert not np.array_equal(rep.v_mean, passes[0][1].v_mean)
     want = artifact_csvs(rep, res, noisy=True)
     assert {name: (tmp_path / name).read_bytes() for name in want} == want
-    t, r, m, n = cfg.horizon, len(ks), cfg.runs, cfg.graph.n
+    t, r, m, n = cfg.horizon, len(rep.ks), cfg.runs, cfg.graph.n
     slack = 2 * 8 * (3 * t + r * (2 * n + 8) + 6 * m * n)
-    held = (2 if diverged else 1) * res.v.nbytes
-    assert peak <= held + 3 * 8 * _kernels._BLOCK_ELEMENTS + slack
+    assert peak <= 4 * 8 * _kernels._BLOCK_ELEMENTS + slack
 
 
 def _decile_draws_per_step(noise, seed, runs, n, t, first):
@@ -735,17 +737,17 @@ class TestCli:
         [
             ("fig2a", 2, (
                 "c630601b065741b00b778bf48fdabafd0c42fe40ae53a36be5cd8a7bccccbeb5",
-                "2d883b018c56548d3d352bda8d6f90f473f368253445997a2f7cdff216a5ebe4",
+                "e6280d8718c5eac24e1b949c7b03847eab6a4d897f1e37943d2266c0181d5408",
                 "363443ab0cf497293b2e980e6ec56c28355f4c0430f0b54996d22754898dba2a",
             )),
             ("fig3a", 20, (
                 "8935fcd1b3becf568fab5a9720d4ebe12ad8f5297a76f5888a5392956582947d",
-                "67e577d69c0f419ac6c5331c4f917835aed1f84663bd0e0e6705a9bc65b55933",
+                "a38e17633f4745eb52f9ce1b6b160c01127c986986224c6aba2b7bdd180a85c2",
                 "55d34021f6e6e9287079ae94f87af02f74645101dfb72c7d522cfd189843a2f9",
             )),
             ("sec4_text", 50, (
                 "64cea00e2d67d25db545e720ab19c0764d19c5663d56e433f757bae560940c83",
-                "3f9986f8f9a40d139e86f45047dfda5d8bacaad4cd87e2f5ba79c446b5774405",
+                "cd5e42a047671acb4a59d8f4482f6718100e58e9c7e6122a8a9238c5d036ee74",
                 "42116c4bd33773c9eb22306190f564ac8a95a39d7fae1e2d116267297d09c19f",
             )),
         ],

@@ -76,6 +76,29 @@ def test_unconverged_fraction_raises():
         log_scaled_upper_gamma(-0.5, 0.05)
 
 
+@pytest.mark.parametrize("a", [1e6, 1e7, 1e8])
+def test_log_scaled_large_shape_just_below_a(a):
+    # At z = a - 10 the power series cancels in 1 - P (an error of 2.5e-9 at
+    # a = 1e6) and, from about a = 1e6 on, runs out of terms (1.5e-3 at 1e7,
+    # 0.28 at 1e8); the continued fraction converges there to full precision.
+    mpmath = pytest.importorskip("mpmath")
+    z = a - 10.0
+    with mpmath.workdps(40):
+        ref = mpmath.log(mpmath.exp(z) * mpmath.power(z, -a) * mpmath.gammainc(a, z))
+    assert log_scaled_upper_gamma(a, z) == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_unconverged_series_raises():
+    # A large shape with z a few sqrt(a) below it needs more series terms than
+    # _MAX_ITER and lies outside the fraction's range: it raises rather than
+    # return the cut-short sum.
+    assert math.isfinite(log_scaled_upper_gamma(30.0, 25.0))
+    with mock.patch.object(special, "_MAX_ITER", 20), pytest.raises(ValueError, match="converge"):
+        log_scaled_upper_gamma(30.0, 25.0)
+    with pytest.raises(ValueError, match="converge"):
+        log_scaled_upper_gamma(1e7, 1e7 - 1e4)
+
+
 @pytest.mark.parametrize("a, z", [(7e4, 1.5e5), (7e3, 2e4), (300.0, 100.0)])
 def test_log_scaled_beyond_float_range(a, z):
     # e^z and Gamma(a, z) overflow here; their scaled product does not.
