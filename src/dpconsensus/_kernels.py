@@ -10,26 +10,25 @@ Every array the size of a block or of the batch state is allocated once per
 call and reused: the draws and the drive of each block, a stash of recorded
 states, an (M, C) buffer of disagreements, two states that swap each step,
 and one scratch state for the |x| checks.  No step or block allocates a
-temporary of that size.  A recorded state is only copied into the stash; the
-stash is reduced, column by column in the summation order of NumPy's row
-sums (``row_sum``), only when the next block's records would not fit in it,
-and once at the end.
+temporary of that size.  A recorded state is only copied into the stash,
+which is reduced, column by column in the summation order of NumPy's row
+sums (``row_sum``), when a record finds it full or holding as many records
+as the disagreement buffer has free columns, and once at the end.
 
-Each reduction writes its records' V(k) as columns of the disagreement
-buffer, which is reduced to the mean and the deciles over the runs whenever
-it fills and once at the end, so no (M, R) matrix of V is held.  NumPy sums a
+Each reduction writes its records' V(k) as the buffer's next columns, so no
+(M, R) matrix of V is held; the buffer is reduced to the mean and the
+deciles over the runs whenever it fills and once at the end.  NumPy sums a
 C-ordered block's columns row after row, as it does the whole matrix's, but
 a lone column pairwise, so a reduction takes two columns at least.
 
 The divergence check costs nothing in a block that provably cannot diverge:
 before each block an a-priori bound on max |x| is carried through the
-block's steps, and only a block whose bound exceeds half the limit screens
-its states step by step.
+block's steps, and only a block whose bound exceeds half the limit checks
+max |x| step by step.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -39,9 +38,6 @@ from .noise import _U_MAX, laplace_from_keys, laplace_into, stream_keys
 
 _BLOCK_ELEMENTS = 2**16
 DIVERGENCE_LIMIT = 1e12
-# Sum-of-squares screen for the divergence check, below the limit squared by
-# far more than the dot product's rounding error.
-_SCREEN = (DIVERGENCE_LIMIT * (1 - 2.0**-20)) ** 2
 # The largest |draw| / b of ``noise.laplace_into``: -log1p(-2 * _U_MAX) = 53 ln 2.
 _DRAW_RATIO = -math.log1p(-2.0 * _U_MAX)
 
@@ -126,7 +122,7 @@ def simulate(
     m1, m2 = float((off - diag).max()), float((off + diag).max())
     a_row = float(np.abs(weights).sum(axis=1).max())
     reach = float(np.abs(x).max())  # bounds max |x| of every run, dead ones included
-    rec_pos = 0
+    rec_pos = held = 0  # the next record; the records in the stash
     # Made once per call (see the module docstring).
     block = max(1, _BLOCK_ELEMENTS // (m * n))
     draws = np.empty((block, m, n), dtype=np.uint64)
@@ -134,19 +130,21 @@ def simulate(
     stash = np.empty((block, m, n))
     cols = max(2, min(n_rec, _BLOCK_ELEMENTS // m))
     vbuf = np.zeros((m if drop is None else int(keep.sum()), cols))
-    filled = done = 0  # vbuf's columns in use; the records already aggregated
+    filled = 0  # vbuf's columns in use
     x_new = np.empty_like(x)
     scratch = np.empty_like(x)
 
-    def flush(pos, count):
-        """Records pos, ..., pos + count - 1 from the stash.
+    def flush(final=False):
+        """The ``held`` records in the stash, rec_pos - held, ..., rec_pos - 1.
 
         A run is alive at record k unless it diverged at a step <= k.  Dead
         runs go on from the zeros the divergence check reset them to, so
-        rows are reduced whole and dead ones masked.
+        rows are reduced whole and dead ones masked.  Their V(k) take vbuf's
+        next columns, which are reduced to the mean and the deciles over the
+        runs, and emptied, once all are taken and at the end.
         """
-        nonlocal filled
-        s, sl = stash[:count], slice(pos, pos + count)
+        nonlocal held, filled
+        s, sl = stash[:held], slice(rec_pos - held, rec_pos)
         ks = rec[sl]
         live = (diverged_at < 0) | (diverged_at > ks[:, None])
         live0 = live[:, 0]
@@ -156,31 +154,18 @@ def simulate(
         dev = np.subtract(z, mu[..., None], out=z)
         vk = np.where(live, row_sum(np.square(dev, out=dev)), np.nan)
         v0[sl] = vk[:, 0]
-        vk = vk[:, keep]
-        j = 0
-        while j < count:
-            take = min(count - j, cols - filled)
-            vbuf[:, filled : filled + take] = vk[j : j + take].T
-            filled, j = filled + take, j + take
-            if filled == cols:
-                aggregate()
+        vbuf[:, filled : filled + held] = vk[:, keep].T
+        filled, held = filled + held, 0
+        if filled == cols or final:
+            vb, sl = vbuf[:, : max(filled, 2)], slice(rec_pos - filled, rec_pos)
+            if len(vb):
+                with np.errstate(invalid="ignore"):  # inf - inf where a state overflowed V
+                    v_mean[sl] = vb.mean(axis=0)[:filled]
+                    v_deciles[:, sl] = np.quantile(vb, [0.1, 0.5, 0.9], axis=0, overwrite_input=True)[:, :filled]
+            filled = 0
 
-    def aggregate():
-        """The mean and the deciles of the records in vbuf, which it empties."""
-        nonlocal filled, done
-        vb, sl = vbuf[:, : max(filled, 2)], slice(done, done + filled)
-        if len(vb):
-            with np.errstate(invalid="ignore"):  # inf - inf where a state overflowed V
-                v_mean[sl] = vb.mean(axis=0)[:filled]
-                v_deciles[:, sl] = np.quantile(vb, [0.1, 0.5, 0.9], axis=0, overwrite_input=True)[:, :filled]
-        filled, done = 0, done + filled
-
-    pos0 = 0  # the first record still in the stash
     for k0 in range(0, t_total, block):
         k1 = min(k0 + block, t_total)
-        if bisect.bisect_left(rec_list, k1, hi=n_rec) - pos0 > block:  # its records would not fit
-            flush(pos0, rec_pos - pos0)
-            pos0 = rec_pos
         a, b = alpha[k0:k1], bscale[k0:k1]
         a_k = memoryview(a)  # its items are Python floats, made one at a time
         noisy = (b > 0.0).tolist()
@@ -201,10 +186,15 @@ def simulate(
             grow = np.maximum(np.maximum(1.0 + a * m1, a * m2 - 1.0), 1.0).prod()
             reach = grow * (reach + a_row * _DRAW_RATIO * float(np.dot(a, b)))
         screen = not (reach <= DIVERGENCE_LIMIT / 2 and a.min() >= 0.0)
-        for j, k in enumerate(range(k0, k1)):
+        # The last block takes k = T too, for its record alone.
+        for j, k in enumerate(range(k0, k1 + (k1 == t_total))):
             if k == rec_list[rec_pos]:
-                stash[rec_pos - pos0] = x
-                rec_pos += 1
+                if held in (block, cols - filled):  # so that no flush straddles vbuf's fill
+                    flush()
+                stash[held] = x
+                held, rec_pos = held + 1, rec_pos + 1
+            if k == t_total:
+                break
             # x - alpha(k) * (x @ L^T) + drive, in place: the same roundings.
             np.matmul(x, lt, out=x_new)
             np.multiply(x_new, a_k[j], out=x_new)
@@ -215,25 +205,15 @@ def simulate(
                 delta = np.abs(np.subtract(x_new, x, out=scratch), out=scratch).max(axis=1)
                 np.maximum(max_tail_delta, delta, where=alive, out=max_tail_delta)
             x, x_new = x_new, x
-            # The sum of squares bounds every |x_i| with room for its rounding,
-            # so only a state that fails it (NaN and inf included) needs the
-            # max |x| reduction, and only one that fails that the per-run check.
-            # np.vdot, unlike np.dot, overflows to inf without a RuntimeWarning.
-            if screen and not np.vdot(x, x) <= _SCREEN:
-                if not np.abs(x, out=scratch).max() <= DIVERGENCE_LIMIT:
-                    bad = alive & ~(scratch.max(axis=1) <= DIVERGENCE_LIMIT)
-                    diverged_at[bad] = k + 1
-                    alive &= ~bad
-                    x[~alive] = 0.0
+            # NaN and inf fail the check too; only a state that fails it needs the per-run one.
+            if screen and not np.abs(x, out=scratch).max() <= DIVERGENCE_LIMIT:
+                bad = alive & ~(scratch.max(axis=1) <= DIVERGENCE_LIMIT)
+                diverged_at[bad] = k + 1
+                alive &= ~bad
+                x[~alive] = 0.0
         if screen:
             reach = float(np.abs(x, out=scratch).max())
-    if rec_pos > pos0:
-        flush(pos0, rec_pos - pos0)
-    if rec_list[rec_pos] == t_total:
-        stash[0] = x
-        flush(rec_pos, 1)
-    if filled:
-        aggregate()
+    flush(final=True)
     # Run 0's gauge mean, and its y(k) = x(k) + w(k) at k < T: a draw is a pure function
     # of its key, so w(k) is the one the loop drew.  Only b(k) > 0 adds it: -0.0 stays -0.0.
     gmean = row_sum(x_rec * gauge) / n

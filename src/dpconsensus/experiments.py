@@ -21,7 +21,7 @@ import numpy as np
 from . import engine
 from .designer import DesignTarget
 from .graphs import SignedGraph, check_structural_balance, fixture_graph, spectrum
-from .noise import DEFAULT_SEED, laplace_from_keys, stream_keys
+from .noise import DEFAULT_SEED
 from .schedules import GeometricNoise, GeometricStep, PowerNoise, PowerStep, validate_assumptions
 from .special import t975
 
@@ -227,7 +227,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def load_config(ref: str) -> ExperimentConfig:
     """A config from a JSON file, or the shipped config of that name if no such file exists."""
-    if not os.path.exists(ref):
+    if not os.path.isfile(ref):  # a directory named after a shipped config leaves it served
         return named_config(ref)
     try:
         with open(ref) as f:
@@ -288,7 +288,7 @@ def estimate_rate(ks, v_mean, window: tuple[float, float]) -> RateFit:
     x, y = np.log(ks[mask]), np.log(v[mask])
     dx, dy = x - math.fsum(x.tolist()) / len(x), y - math.fsum(y.tolist()) / len(y)
     sxx, sxy, syy = (math.fsum((p * q).tolist()) / len(x) for p, q in ((dx, dx), (dx, dy), (dy, dy)))
-    r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    r = 0.0 if syy == 0 else np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)  # a constant series fits exactly
     slope = sxy / sxx
     dof = int(mask.sum()) - 2
     stderr = np.sqrt((1 - r**2) * syy / sxx / dof)
@@ -421,18 +421,6 @@ class BaselineVerdict:
     noise_alive: bool
 
 
-def _decile_noise_std(noise, seed, runs, n, t, first: bool) -> float:
-    """Empirical std of the injected noise over one decile of the horizon."""
-    if noise is None:
-        return 0.0
-    d = max(t // 10, 1)  # as compare_baselines' tail_start: one step at t < 10
-    steps = np.arange(0, d) if first else np.arange(t - d, t)
-    keys = stream_keys(seed, np.arange(min(runs, 50))[:, None], np.arange(n)[None, :])
-    # (steps, runs, agents) in one draw; its step-major order is the std's summation order.
-    draws = laplace_from_keys(keys, steps[:, None, None], noise.scale(steps)[:, None, None])
-    return float(draws.std())
-
-
 def compare_baselines(cfg: ExperimentConfig) -> list[BaselineVerdict]:
     """Protocol vs baseline variants: freeze, bias, and noise-liveness checks."""
     gauge = check_structural_balance(cfg.graph)
@@ -440,19 +428,22 @@ def compare_baselines(cfg: ExperimentConfig) -> list[BaselineVerdict]:
     variants = [BaselineVariant("protocol", cfg.step, cfg.noise, cfg.allow_unvalidated), *cfg.baselines]
     out = []
     t = cfg.horizon
-    tail_start = t - max(t // 10, 1)
+    d = max(t // 10, 1)  # a decile of the horizon, one step at t < 10: the tail and the noise windows
     for var in variants:
         _, res = engine.run_many(
             cfg.x0, cfg.graph, gauge, var.step, var.noise, t, cfg.runs,
-            seed=cfg.seed, record_idx=np.array([0, t]), tail_start=tail_start,
+            seed=cfg.seed, record_idx=np.array([0, t]), tail_start=t - d,
         )
         ok = res.diverged_at < 0
         tail_delta = float(res.max_tail_delta[ok].max()) if ok.any() else math.inf
         terminal = (res.x_final[ok] * gauge).mean(axis=1)
         bias = float(terminal.mean() - target)
         stderr = float(terminal.std(ddof=1) / math.sqrt(len(terminal))) if len(terminal) > 1 else 0.0
-        s_first = _decile_noise_std(var.noise, cfg.seed, cfg.runs, cfg.graph.n, t, first=True)
-        s_last = _decile_noise_std(var.noise, cfg.seed, cfg.runs, cfg.graph.n, t, first=False)
+        # A window's noise std is that of an equal mix of its Lap(0, b(k)): sqrt(2 mean b(k)^2).
+        s_first, s_last = (
+            0.0 if var.noise is None else math.sqrt(2.0 * np.mean(var.noise.scale(np.arange(lo, lo + d)) ** 2))
+            for lo in (0, t - d)
+        )
         out.append(
             BaselineVerdict(
                 name=var.name,

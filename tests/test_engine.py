@@ -416,7 +416,7 @@ _LIMIT = engine.DIVERGENCE_LIMIT
     ids=["at-limit", "next-above-limit", "1e200", "nan", "squares-above-limit"],
 )
 def test_divergence_screen_matches_per_entry_check(fig1a, gauge1a, graph, x0, diverged_at):
-    """The sum-of-squares screen changes no verdict of the max |x| check, and warns of nothing."""
+    """The max |x| check trips just above the limit, on NaN and on inf, whatever the sum of squares, and warns of nothing."""
     graph, gauge = (fig1a, gauge1a) if graph == "fig1a" else (TWO_PLUS, np.ones(2))
     frozen, silent = PowerStep(0.0, 1.0, 1.0), PowerNoise(0.0, 0.1)
     t, runs = 30, 3

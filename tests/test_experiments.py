@@ -187,6 +187,13 @@ class TestEstimateRate:
         with pytest.raises(NonpositiveValuesError):
             estimate_rate(ks, v, (10, 99))
 
+    def test_constant_series_fits_exactly(self):
+        ks = np.arange(1, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = estimate_rate(ks, np.ones(99), (10, 99))
+        assert (fit.slope, fit.ci_low, fit.ci_high, fit.stderr) == (0.0, 0.0, 0.0, 0.0)
+
 
 class TestRunExperiment:
     def test_zero_noise_single_run_deterministic(self):
@@ -326,13 +333,13 @@ def test_aggregate_holds_no_batch_matrix(tmp_path, monkeypatch, diverged):
     assert peak <= 4 * 8 * _kernels._BLOCK_ELEMENTS + slack
 
 
-def _decile_draws_per_step(noise, seed, runs, n, t, first):
-    """The draws behind ``experiments._decile_noise_std`` in its former form: one ``laplace_matrix`` per step."""
-    lo, hi = (0, t // 10) if first else (t - t // 10, t)
-    r = min(runs, 50)
-    return np.concatenate(
-        [laplace_matrix(seed, np.arange(r), n, k, b).ravel() for k, b in zip(range(lo, hi), noise.scale(np.arange(lo, hi)))]
-    )
+def _noise_stds(noise, t):
+    """compare_baselines' (first, last) decile noise std for ``noise`` at horizon ``t``."""
+    cfg = dataclasses.replace(named_config("fig2a"), noise=noise, allow_unvalidated=True, baselines=(), horizon=t, runs=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"alpha\(0\)\*c_max", RuntimeWarning)
+        (v,) = experiments.compare_baselines(cfg)
+    return v.noise_std_first, v.noise_std_last
 
 
 @pytest.mark.parametrize(
@@ -340,12 +347,22 @@ def _decile_draws_per_step(noise, seed, runs, n, t, first):
     [PowerNoise(1, 0.1, 1, 1), PowerNoise(2, 0.3, 5), GeometricNoise(1, 0.9), PowerNoise(2.0, 0.0, a2=1.0)],
     ids=["power-offset1", "power", "geometric", "constant"],
 )
-@pytest.mark.parametrize("runs, t", [(7, 1000), (80, 257)])
-def test_decile_noise_std_equals_the_per_step_draws(noise, runs, t):
-    """One (steps, runs, agents) draw per decile gives the per-step loop's std, bit for bit."""
-    got = [experiments._decile_noise_std(noise, 11, runs, 5, t, first) for first in (True, False)]
-    want = [_decile_draws_per_step(noise, 11, runs, 5, t, first).std() for first in (True, False)]
-    assert np.array_equal(got, want)
+def test_decile_noise_std_is_exact(noise):
+    """Each decile's noise std is sqrt(2 mean b(k)^2), which 10^5 draws per decile agree with."""
+    t, d, runs, n = 1000, 100, 200, 5
+    for lo, got in zip((0, t - d), _noise_stds(noise, t)):
+        b = noise.scale(np.arange(lo, lo + d))
+        assert got == math.sqrt(2.0 * np.mean(b**2))
+        w = np.concatenate([laplace_matrix(11, np.arange(runs), n, k, bk).ravel() for k, bk in zip(range(lo, lo + d), b)])
+        # The standard error of the sample variance, from the mix's fourth moment 24 mean b^4.
+        se = math.sqrt((24.0 * np.mean(b**4) - got**4) / len(w)) / (2.0 * got)
+        assert len(w) >= 10**5 and abs(w.std() - got) <= 5 * se
+
+
+def test_decile_noise_std_is_zero_where_the_noise_is():
+    # b(0) = 0 under the offset-1 schedule, and a decile at t < 10 is that one step.
+    assert _noise_stds(PowerNoise(1, 0.1, 1, 1), 9)[0] == 0.0
+    assert _noise_stds(None, 100) == (0.0, 0.0)
 
 
 class TestCompareBaselines:
@@ -507,6 +524,31 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_directory_named_after_a_shipped_config_leaves_it_served(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig2a").mkdir()
+        (tmp_path / "out").mkdir()
+        assert cli.main(["rates", "--config", "fig2a"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["rates", "--config", "out"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: no shipped config named 'out'\n"
+
+    def test_frozen_batch_writes_strict_json(self, tmp_path, capsys):
+        # a1 = 0 and no noise hold every state, so V is constant over the rate window.
+        p = tmp_path / "frozen.json"
+        p.write_text(json.dumps(minimal_doc(step={"kind": "power", "a1": 0, "a2": 1, "beta": 1}, noise=None, runs=2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_OK
+        assert "95% CI [0.0000, 0.0000]" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=reject)
+        assert doc["rate"]["ci"] == [0.0, 0.0] and doc["rate"]["stderr"] == 0.0
 
     def test_graph_fixture_file_is_not_a_config(self, capsys):
         # fixtures/ also holds graphs.json, the fixture graph table, which no name serves.
