@@ -333,9 +333,9 @@ def test_aggregate_holds_no_batch_matrix(tmp_path, monkeypatch, diverged):
     assert peak <= 4 * 8 * _kernels._BLOCK_ELEMENTS + slack
 
 
-def _noise_stds(noise, t):
+def _noise_stds(noise, t, runs=2):
     """compare_baselines' (first, last) decile noise std for ``noise`` at horizon ``t``."""
-    cfg = dataclasses.replace(named_config("fig2a"), noise=noise, allow_unvalidated=True, baselines=(), horizon=t, runs=2)
+    cfg = dataclasses.replace(named_config("fig2a"), noise=noise, allow_unvalidated=True, baselines=(), horizon=t, runs=runs)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"alpha\(0\)\*c_max", RuntimeWarning)
         (v,) = experiments.compare_baselines(cfg)
@@ -347,13 +347,18 @@ def _noise_stds(noise, t):
     [PowerNoise(1, 0.1, 1, 1), PowerNoise(2, 0.3, 5), GeometricNoise(1, 0.9), PowerNoise(2.0, 0.0, a2=1.0)],
     ids=["power-offset1", "power", "geometric", "constant"],
 )
-def test_decile_noise_std_is_exact(noise):
-    """Each decile's noise std is sqrt(2 mean b(k)^2), which 10^5 draws per decile agree with."""
-    t, d, runs, n = 1000, 100, 200, 5
-    for lo, got in zip((0, t - d), _noise_stds(noise, t)):
+@pytest.mark.parametrize("runs, t", [(7, 1000), (80, 257)])
+def test_decile_noise_std_equals_the_per_step_draws(noise, runs, t):
+    """Each decile's noise std is sqrt(2 mean b(k)^2), which 10^5 per-step draws per decile agree with."""
+    cfg = named_config("fig2a")
+    d, n = t // 10, cfg.graph.n
+    draw_runs = max(runs, -(-(10**5) // (d * n)))  # the batch's own runs, and more up to 10^5 draws
+    for lo, got in zip((0, t - d), _noise_stds(noise, t, runs)):
         b = noise.scale(np.arange(lo, lo + d))
         assert got == math.sqrt(2.0 * np.mean(b**2))
-        w = np.concatenate([laplace_matrix(11, np.arange(runs), n, k, bk).ravel() for k, bk in zip(range(lo, lo + d), b)])
+        w = np.concatenate(
+            [laplace_matrix(cfg.seed, np.arange(draw_runs), n, k, bk).ravel() for k, bk in zip(range(lo, lo + d), b)]
+        )
         # The standard error of the sample variance, from the mix's fourth moment 24 mean b^4.
         se = math.sqrt((24.0 * np.mean(b**4) - got**4) / len(w)) / (2.0 * got)
         assert len(w) >= 10**5 and abs(w.std() - got) <= 5 * se
