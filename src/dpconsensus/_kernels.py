@@ -6,6 +6,12 @@ a block of steps at a time.  A block holds about ``_BLOCK_ELEMENTS`` draws,
 ``max(1, _BLOCK_ELEMENTS // (M * n))`` steps, so its memory stays flat in the
 batch shape.  The state recursion itself stays one step at a time.
 
+A step is four NumPy calls into one reused buffer; at M = 1 their dispatch is
+all it costs, so each takes its cheapest form that rounds the same: ``np.dot``,
+which calls cblas directly (gemv for one row, gemm otherwise) where
+``np.matmul`` goes through the gufunc machinery, alpha(k) multiplied in place
+from a reused 0-d array rather than as a Python float, and a positional ``out``.
+
 Every array the size of a block or of the batch state is allocated once per
 call and reused: the draws and the drive of each block, a stash of recorded
 states, an (M, C) buffer of disagreements, two states that swap each step,
@@ -133,6 +139,8 @@ def simulate(
     filled = 0  # vbuf's columns in use
     x_new = np.empty_like(x)
     scratch = np.empty_like(x)
+    a_j = np.empty(())  # alpha(k), as an array: cheaper to multiply by than a Python float
+    dot, subtract, add = np.dot, np.subtract, np.add
 
     def flush(final=False):
         """The ``held`` records in the stash, rec_pos - held, ..., rec_pos - 1.
@@ -196,11 +204,12 @@ def simulate(
             if k == t_total:
                 break
             # x - alpha(k) * (x @ L^T) + drive, in place: the same roundings.
-            np.matmul(x, lt, out=x_new)
-            np.multiply(x_new, a_k[j], out=x_new)
-            np.subtract(x, x_new, out=x_new)
+            dot(x, lt, x_new)
+            a_j[()] = a_k[j]
+            x_new *= a_j
+            subtract(x, x_new, x_new)
             if noisy[j]:
-                np.add(x_new, drive[j], out=x_new)
+                add(x_new, drive[j], x_new)
             if k >= tail_from:
                 delta = np.abs(np.subtract(x_new, x, out=scratch), out=scratch).max(axis=1)
                 np.maximum(max_tail_delta, delta, where=alive, out=max_tail_delta)

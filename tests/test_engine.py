@@ -357,6 +357,42 @@ def test_block_drive_rounds_as_one_step_at_a_time(n, runs):
     np.testing.assert_array_equal(res.y_rec, y_rec[0])
 
 
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("n", [5, 8, 96])
+def test_step_product_keeps_the_bits_of_the_matmul_reference(n, runs, noisy):
+    """Every output keeps its bits at the BLAS shapes the step's ``np.dot`` dispatches to.
+
+    The reference takes ``x @ L`` and then scales it by alpha(k); the kernel's
+    ``dot`` hands one run's single row to gemv and three runs' rows to gemm,
+    and n = 96 is the size of perfbench's ``wide_graph``.  A product that
+    rounds otherwise, such as ``x @ (alpha(k) L^T)``, moves some bit.
+    """
+    w, _ = random_balanced_graph(np.random.default_rng(n), n)
+    graph = SignedGraph(w)
+    gauge = check_structural_balance(graph)
+    x0 = np.linspace(-10.0, 10.0, n)
+    sched = PowerStep(0.5 / graph.degrees.max(), 1, 1)
+    noise = PowerNoise(1, 0.1, 1, 1) if noisy else PowerNoise(0.0, 0.1)
+    t, stride, tail_start = 60, 3, 30
+    _, diverged_at, v, x_final, x_rec, y_rec, tail = _reference_batch(
+        x0, graph, gauge, sched, noise, t, runs, tail_start, stride
+    )
+    _, res = _check_aggregates(
+        lambda drop: run_many(
+            x0, graph, gauge, sched, noise, t, runs,
+            record_idx=record_points(t, stride), tail_start=tail_start, drop=drop,
+        ),
+        v, np.zeros(runs, dtype=bool),
+    )
+    for got, want in [
+        (res.x_final, x_final), (res.diverged_at, diverged_at), (res.max_tail_delta, tail),
+        (res.x_rec, x_rec[0]), (res.y_rec, y_rec[0]), (res.gmean, (x_rec[0] * gauge).mean(axis=1)),
+    ]:
+        _same_bits(got, want)
+    assert np.isfinite(res.x_final).all() and (res.max_tail_delta > 0).all()
+
+
 @pytest.mark.parametrize(
     "runs, t, stride, cols, last",
     [(400, 326, 1, 163, 1), (1, 200, 10, 84, 84)],
