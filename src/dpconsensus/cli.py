@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 
 from . import designer, experiments, privacy
 from .engine import BACKEND_NAME, DivergenceError
@@ -183,6 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning  # a warning prints as one line, not file:line plus source
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except (experiments.ConfigError, StructurallyUnbalancedError) as exc:
@@ -191,6 +194,8 @@ def main(argv=None) -> int:
     except (experiments.ExperimentDivergence, DivergenceError) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpconsensus import check_structural_balance, fixture_graph, spectrum
+from dpconsensus.graphs import check_structural_balance, fixture_graph, spectrum
 from dpconsensus.special import log_scaled_upper_gamma
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py and

@@ -406,12 +406,39 @@ class TestCompareBaselines:
         assert verdicts[0].noise_std_first == 0.0 and verdicts[0].noise_alive
 
 
-def _python(code, *args):
-    """stdout of ``code`` in a fresh interpreter that imports dpconsensus from this tree."""
+def _interpreter(*argv):
+    """A fresh interpreter, run with ``argv``, that imports dpconsensus from this tree."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, check=True)
+
+
+def _python(code, *args):
+    """stdout of ``code`` in a fresh interpreter that imports dpconsensus from this tree."""
+    return _interpreter("-c", code, *args).stdout.strip()
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # The package root re-exports nothing: each name comes from the module that
+    # defines it, so a bare import loads none of them, and NumPy with them.
+    code = "import sys, dpconsensus; print('numpy' in sys.modules, [n for n in vars(dpconsensus) if n[0] != '_'])"
+    assert _python(code) == "False []"
+
+
+def test_cli_warning_prints_as_one_line():
+    # sec4_text's alpha(0)*c_max = 1.5 warns; the command line shows the message
+    # alone, without the warning's file, line and source.
+    out = _interpreter("-m", "dpconsensus.cli", "simulate", "--config", "sec4_text", "--runs", "2")
+    assert out.stderr == (
+        "warning: alpha(0)*c_max = 1.5 >= 1: early steps may transiently amplify disagreement\n"
+    )
+    formatwarning = warnings.formatwarning
+    with pytest.warns(RuntimeWarning, match=r"alpha\(0\)\*c_max"), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--config", "sec4_text", "--runs", "2"]) == cli.EXIT_OK
+    assert warnings.formatwarning is formatwarning
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["simulate", "--config", "sec4_text", "--runs", "0"]) == cli.EXIT_CONFIG
+    assert warnings.formatwarning is formatwarning
 
 
 def test_cli_import_leaves_scipy_unloaded():

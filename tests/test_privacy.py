@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpconsensus import check_structural_balance, privacy, spectrum
+from dpconsensus import privacy
 from dpconsensus.experiments import named_config
+from dpconsensus.graphs import check_structural_balance, spectrum
 from dpconsensus.schedules import PowerNoise, PowerStep
 
 from oracles import apply_update, epsilon_case2_paper, epsilon_finite_blocked, sensitivity_series
